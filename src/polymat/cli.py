@@ -83,7 +83,7 @@ def _emit(args, payload: dict, text_lines: list[str], code: int) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--char", type=int, default=0, help="field characteristic (0 or a prime)")
+    common.add_argument("--char", type=int, default=0, help="field characteristic (0 or a prime below 2^64)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled scans")
     common.add_argument("--budget", type=int, default=None, help="resource budget override")
     common.add_argument("--json", action="store_true", help="emit one JSON object")

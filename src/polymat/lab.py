@@ -382,15 +382,25 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
 # conjecture scan
 # ---------------------------------------------------------------------------
 
-def _localization_profile(I: MonomialIdeal, char: int) -> tuple[bool, list | None]:
+def _localization_profile(
+    I: MonomialIdeal, char: int, decided: dict[MonomialIdeal, bool]
+) -> tuple[bool, list | None]:
     """Whether every proper-subset localization has a linear resolution,
-    plus the first failing substitution set."""
+    plus the first failing substitution set.
+
+    ``decided`` maps localizations already decided in this scan to their
+    verdicts; new verdicts are added to it.  A ResourceLimitExceeded
+    propagates and leaves nothing behind.
+    """
     for size in range(I.nvars):
         for C in itertools.combinations(range(1, I.nvars + 1), size):
             loc = localize(I, C)
             if loc.is_unit:
                 continue
-            if not has_linear_resolution(loc, char):
+            linear = decided.get(loc)
+            if linear is None:
+                linear = decided[loc] = has_linear_resolution(loc, char)
+            if not linear:
                 return False, list(C)
     return True, None
 
@@ -418,12 +428,17 @@ def scan_conjecture(
     )
     counts = {"agree": 0, "forward_violations": 0, "reverse_candidates": 0, "skipped": 0}
     counterexamples: list[dict] = []
+    # Verdicts per localized ideal.  A localization has no more generators
+    # and no higher degree than its ideal, so in an exhaustive space it is
+    # an ideal of the space, and the memo never outgrows the space; a
+    # sampled ideal adds at most 2^n - 1 entries.
+    decided: dict[MonomialIdeal, bool] = {}
 
     for idx, I in enumerate(space_ideals(space, enum_budget)):
         item: dict = {"index": idx, "ideal": str(I), "nvars": I.nvars}
         try:
             pm, wit = is_polymatroidal(I)
-            loc_linear, failing = _localization_profile(I, char)
+            loc_linear, failing = _localization_profile(I, char, decided)
         except ResourceLimitExceeded as exc:
             item["status"] = "skipped"
             item["skip_reason"] = str(exc)

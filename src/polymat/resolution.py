@@ -1,22 +1,27 @@
 """Exact graded Betti numbers of monomial ideals via simplicial homology.
 
 For each multidegree b in the lcm lattice of the generators, the rank of
-the (i-1)-st reduced homology of the simplicial complex
+the (i-1)-st reduced homology of the upper Koszul complex
 
     K^b = { squarefree tau : x^b / x^tau lies in the ideal }
 
-over the chosen prime field contributes to beta_{i, deg b}.  Ranks come
+over the chosen prime field contributes to beta_{i, deg b}.  K^b is read
+straight from the minimal generators: each generator g dividing x^b
+gives the facet {i : g_i < b_i}.  A K^b whose maximal faces share a
+vertex is a cone, has no reduced homology and is skipped.  Ranks come
 from boundary-matrix ranks computed exactly: fraction-free integer
 elimination in characteristic 0, modular elimination at a prime.
+``has_linear_resolution`` stops at the first multidegree with homology
+off the linear strand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .ideal import (
-    Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
     UnitIdealError,
@@ -91,18 +96,38 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+# Witness bases that make Miller-Rabin exact for every n below 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_CHAR = 1 << 64
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= p < 2^64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _validate_char(char: int) -> None:
+    if char >= _MAX_CHAR:
+        raise ValueError(f"characteristic must be below 2^64, got {char}")
     if char != 0 and not _is_prime(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
@@ -128,11 +153,11 @@ class SimplicialComplex:
 
     def __init__(self, nverts: int, faces: "list[frozenset[int]] | set[frozenset[int]]"):
         self.nverts = nverts
-        faces = [frozenset(f) for f in faces]
+        faces = {frozenset(f) for f in faces}
         maximal = [
             f for f in faces if not any(f < g for g in faces)
         ]
-        self.maximal_faces = tuple(sorted(set(maximal), key=lambda f: (len(f), sorted(f))))
+        self.maximal_faces = tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
         self._faces = None
 
     def all_faces(self) -> set[frozenset[int]]:
@@ -152,6 +177,14 @@ class SimplicialComplex:
     @property
     def is_void(self) -> bool:
         return not self.maximal_faces
+
+    @property
+    def is_cone(self) -> bool:
+        """Some vertex lies in every maximal face, so the complex is a
+        cone over it and has no reduced homology."""
+        if not self.maximal_faces:
+            return False
+        return bool(frozenset.intersection(*self.maximal_faces))
 
     def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         by_dim: dict[int, list[tuple[int, ...]]] = {}
@@ -266,19 +299,31 @@ def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_LATTICE_BUDGET) -> list[
 def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComplex:
     """The complex of squarefree tau inside supp(b) with x^b / x^tau in I.
 
-    Vertices are relabelled 0..k-1 along the support of b; only the face
+    Read from G(I): a generator g divides x^b / x^tau exactly when g
+    divides x^b and tau avoids every i with g_i = b_i, so the generators
+    dividing x^b give the facets {i : g_i < b_i}.  Vertices are
+    relabelled 0..k-1 along the support of b; only the face
     combinatorics matter for homology.
     """
     supp = [i for i, e in enumerate(b) if e > 0]
-    faces = []
-    for mask in range(1 << len(supp)):
-        exps = list(b)
-        for k, pos in enumerate(supp):
-            if mask >> k & 1:
-                exps[pos] -= 1
-        if I.contains(Monomial(exps)):
-            faces.append(frozenset(k for k in range(len(supp)) if mask >> k & 1))
-    return SimplicialComplex(len(supp), faces)
+    facets = []
+    for g in I.gens:
+        exps = g.exps
+        if all(x <= y for x, y in zip(exps, b)):
+            facets.append(frozenset(k for k, i in enumerate(supp) if exps[i] < b[i]))
+    return SimplicialComplex(len(supp), facets)
+
+
+def _lattice_homology(
+    I: MonomialIdeal, char: int, budget: int
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """(deg b, reduced homology ranks of K^b) over the lcm lattice, lazily,
+    skipping the cones, which have no homology."""
+    _validate_char(char)
+    for b in lcm_lattice(I, budget):
+        complex_b = upper_koszul_complex(I, b)
+        if not complex_b.is_cone:
+            yield sum(b), complex_b.reduced_homology_ranks(char)
 
 
 def betti_table(
@@ -286,12 +331,9 @@ def betti_table(
 ) -> BettiTable:
     """The exact Betti table of I over a field of the given characteristic."""
     _require_proper(I)
-    _validate_char(char)
     entries: dict[tuple[int, int], int] = {}
-    for b in lcm_lattice(I, budget):
-        complex_b = upper_koszul_complex(I, b)
-        j = sum(b)
-        for dim, h in complex_b.reduced_homology_ranks(char).items():
+    for j, homology in _lattice_homology(I, char, budget):
+        for dim, h in homology.items():
             key = (dim + 1, j)
             entries[key] = entries.get(key, 0) + h
     return BettiTable(entries, Counter(g.degree for g in I.gens))
@@ -300,12 +342,19 @@ def betti_table(
 def has_linear_resolution(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
-    """Single degree d and beta_{i,j} = 0 whenever j != i + d."""
+    """Single degree d and beta_{i,j} = 0 whenever j != i + d.
+
+    Stops at the first multidegree with homology off that strand.
+    """
     _require_proper(I)
     if not is_single_degree(I):
         return False
     d = I.gens[0].degree
-    return betti_table(I, char, budget).is_linear(d)
+    return all(
+        j == dim + 1 + d
+        for j, homology in _lattice_homology(I, char, budget)
+        for dim in homology
+    )
 
 
 def has_linear_relations(

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they test: Betti numbers come
 from Taylor-complex strand homology over generator subsets (the library
-uses upper Koszul complexes over variables), colon ideals are checked by
-raw membership, and linear-quotient searches are re-done by permutation
+uses upper Koszul complexes over variables), upper Koszul complexes come
+from membership tests over every subset of the support (the library
+reads their facets from the generators), colon ideals are checked by raw
+membership, and linear-quotient searches are re-done by permutation
 enumeration on top of the primitive colon.
 """
 
@@ -88,6 +90,22 @@ def taylor_betti(I: MonomialIdeal, char: int = 0) -> dict[tuple[int, int], int]:
                 key = (k - 1, sum(b))
                 entries[key] = entries.get(key, 0) + h
     return entries
+
+
+def upper_koszul_faces(I: MonomialIdeal, b: tuple[int, ...]) -> set[frozenset[int]]:
+    """Every face of K^b by brute force: tau ranges over all subsets of
+    supp(b), each tested by membership of x^(b - tau) in I.  Vertices are
+    relabelled 0..k-1 along the support of b, as in the library."""
+    supp = [i for i, e in enumerate(b) if e > 0]
+    faces = set()
+    for mask in range(1 << len(supp)):
+        exps = list(b)
+        for k, pos in enumerate(supp):
+            if mask >> k & 1:
+                exps[pos] -= 1
+        if I.contains(Monomial(exps)):
+            faces.add(frozenset(k for k in range(len(supp)) if mask >> k & 1))
+    return faces
 
 
 def lq_order_ok_primitive(base: MonomialIdeal, order) -> bool:

@@ -282,5 +282,13 @@ class TestErrors:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_large_prime_characteristic(self, capsys):
+        assert run(["betti", "--char", "9223372036854775783", "-n", "2", "x1, x2"]) == 0
+
+    def test_bad_characteristic_exit_2(self, capsys):
+        for char in ("561", "3215031751", str(2**64 + 13)):
+            assert run(["betti", "--char", char, "-n", "2", "x1, x2"]) == 2
+            assert "characteristic" in capsys.readouterr().err
+
     def test_zero_ideal_predicate_exit_2(self, capsys):
         assert run(["check", "polymatroidal", "-n", "3", ""]) == 2

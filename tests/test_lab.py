@@ -1,12 +1,15 @@
 """Harness behavior: equivalence records, squarefree localization
 equivalences, the conjecture scan, spaces, and the example suite."""
 
+import itertools
 import json
 
 import pytest
 
+from polymat import lab
 from polymat.ideal import (
     ResourceLimitExceeded,
+    is_single_degree,
     localize,
     parse_ideal,
 )
@@ -22,6 +25,8 @@ from polymat.lab import (
 )
 from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
 from polymat.resolution import has_linear_resolution
+
+from oracles import taylor_betti
 
 
 def I(text, n):
@@ -152,6 +157,56 @@ class TestScan:
             if item["failing_subset"] is not None:
                 loc = localize(ideal, item["failing_subset"])
                 assert not has_linear_resolution(loc)
+
+
+class TestScanMemo:
+    def test_resource_limit_is_not_memoized(self, monkeypatch):
+        calls = []
+
+        def first_call_exceeds(J, char=0):
+            calls.append(J)
+            if len(calls) == 1:
+                raise ResourceLimitExceeded("lcm lattice exceeds budget")
+            return has_linear_resolution(J, char)
+
+        monkeypatch.setattr(lab, "has_linear_resolution", first_call_exceeds)
+        report = scan_conjecture(IdealSpace(nvars=2, maxdeg=2, maxgens=1))
+        first = calls[0]
+        assert first == I("x2", 2)
+        assert report.items[0]["ideal"] == "x2"
+        assert report.items[0]["status"] == "skipped"
+        assert report.summary["skipped"] == 1
+        # x1*x2 localizes at x1 -> 1 to the skipped ideal, decided anew
+        later = [item for item in report.items[1:] if item["ideal"] == "x1*x2"]
+        assert later and later[0]["status"] == "agree"
+        assert later[0]["all_localizations_linear"] is True
+        assert calls.count(first) == 2
+        # every other localization is decided once per scan
+        assert len(calls) == len(set(calls)) + 1
+
+    def test_exhaustive_scan_matches_taylor_recomputation(self):
+        def linear_by_oracle(J):
+            if not is_single_degree(J):
+                return False
+            d = J.gens[0].degree
+            return all(j == i + d for (i, j) in taylor_betti(J))
+
+        def profile_by_oracle(J):
+            for size in range(J.nvars):
+                for C in itertools.combinations(range(1, J.nvars + 1), size):
+                    loc = localize(J, C)
+                    if not loc.is_unit and not linear_by_oracle(loc):
+                        return False, list(C)
+            return True, None
+
+        space = IdealSpace(nvars=3, maxdeg=2, maxgens=3)
+        report = scan_conjecture(space)
+        ideals = list(space_ideals(space))
+        assert len(report.items) == len(ideals)
+        for item, ideal in zip(report.items, ideals):
+            assert item["ideal"] == str(ideal)
+            expected = profile_by_oracle(ideal)
+            assert (item["all_localizations_linear"], item["failing_subset"]) == expected, item
 
 
 class TestVeroneseReconstruction:

@@ -3,6 +3,7 @@ independent Taylor-complex oracle, plus the linearity predicates."""
 
 import fractions
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,12 @@ from polymat.ideal import (
     ResourceLimitExceeded,
     UnitIdealError,
     ZeroIdealError,
+    is_single_degree,
     maximal_ideal,
     parse_ideal,
     power,
 )
+from polymat.lab import IdealSpace, space_ideals
 from polymat.resolution import (
     SimplicialComplex,
     betti_table,
@@ -24,12 +27,13 @@ from polymat.resolution import (
     has_linear_resolution,
     is_componentwise_linear,
     lcm_lattice,
+    _is_prime,
     rank_exact,
     rank_mod_p,
     upper_koszul_complex,
 )
 
-from oracles import taylor_betti
+from oracles import taylor_betti, upper_koszul_faces
 
 
 def I(text, n):
@@ -84,6 +88,38 @@ class TestRank:
             assert rank_mod_p(mat, 1009) == rank_exact(mat)
 
 
+class TestCharacteristic:
+    def test_primality_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+        for p in range(-2, 5000):
+            assert _is_prime(p) == trial(p), p
+
+    def test_large_prime_accepted_quickly(self):
+        ideal = I("x1, x2", 2)
+        t0 = time.perf_counter()
+        table = betti_table(ideal, (1 << 61) - 1)
+        assert time.perf_counter() - t0 < 1.0
+        assert table.entries == {(0, 1): 2, (1, 2): 1}
+        assert has_linear_resolution(ideal, (1 << 64) - 59)  # largest prime below 2^64
+
+    @pytest.mark.parametrize(
+        "char",
+        [
+            1,
+            561,  # Carmichael number
+            3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            (1 << 61) + 1,
+            1 << 64,
+            (1 << 89) - 1,  # prime, but at or above 2^64
+        ],
+    )
+    def test_rejected(self, char):
+        with pytest.raises(ValueError):
+            betti_table(I("x1, x2", 2), char)
+
+
 # ---------------------------------------------------------------------------
 # simplicial complexes
 # ---------------------------------------------------------------------------
@@ -110,6 +146,21 @@ class TestSimplicialComplex:
     def test_hollow_triangle_is_circle(self):
         cx = SimplicialComplex(3, [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
         assert cx.reduced_homology_ranks() == {1: 1}
+
+    def test_cone_has_no_homology(self):
+        # maximal faces {0,1} and {0,2} share vertex 0; the extra facet
+        # {2} is not maximal and would hide the cone if it were counted
+        cx = SimplicialComplex(3, [frozenset({0, 1}), frozenset({0, 2}), frozenset({2})])
+        assert not cx.is_void
+        assert cx.is_cone
+        for char in (0, 2):
+            assert cx.reduced_homology_ranks(char) == {}
+
+    def test_not_cones(self):
+        assert not SimplicialComplex(3, []).is_cone
+        assert not SimplicialComplex(3, [frozenset()]).is_cone
+        hollow = SimplicialComplex(3, [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+        assert not hollow.is_cone
 
     def test_projective_plane_char_dependence(self):
         faces = [
@@ -184,6 +235,28 @@ class TestBettiTable:
         ideal = I("x1*x2, x2*x3", 3)
         cx = upper_koszul_complex(ideal, (1, 1, 0))
         assert cx.reduced_homology_ranks() == {-1: 1}
+
+
+def exhaustive_space_ideals(nvars, maxdeg, maxgens):
+    return list(space_ideals(IdealSpace(nvars=nvars, maxdeg=maxdeg, maxgens=maxgens)))
+
+
+class TestUpperKoszulFromGenerators:
+    def test_matches_membership_oracle_on_exhaustive_space(self):
+        points = 0
+        for ideal in exhaustive_space_ideals(3, 3, 4):
+            for b in lcm_lattice(ideal):
+                cx = upper_koszul_complex(ideal, b)
+                assert cx.all_faces() == upper_koszul_faces(ideal, b), (str(ideal), b)
+                points += 1
+        assert points == 10377
+
+    def test_early_exit_agrees_with_full_table(self):
+        for ideal in exhaustive_space_ideals(3, 3, 4):
+            d = ideal.gens[0].degree
+            for char in (0, 2):
+                expected = is_single_degree(ideal) and betti_table(ideal, char).is_linear(d)
+                assert has_linear_resolution(ideal, char) == expected, (str(ideal), char)
 
 
 class TestTaylorOracleAgreement:
