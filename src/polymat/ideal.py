@@ -87,11 +87,6 @@ class Monomial:
         """self / gcd(self, other): the colon contribution of a generator."""
         return Monomial(max(a - b, 0) for a, b in zip(self.exps, other.exps))
 
-    def exact_divide(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
-
     def _key(self) -> tuple[int, tuple[int, ...]]:
         return (self.degree, self.exps)
 
@@ -162,9 +157,15 @@ def _minimal_sorted(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal elements, deduplicated, in canonical order."""
     distinct = sorted(set(monomials), key=Monomial._key)
     kept: list[Monomial] = []
+    # a proper divisor of m has lower degree, so m is tested only against
+    # the kept monomials of lower degree; they come first in this order
+    lower: list[Monomial] = []
+    degree = None
     for m in distinct:
-        # any divisor of m comes earlier in the (degree, lex) order
-        if not any(k.divides(m) for k in kept):
+        if m.degree != degree:
+            degree = m.degree
+            lower = kept[:]
+        if not any(k.divides(m) for k in lower):
             kept.append(m)
     return tuple(kept)
 

@@ -10,6 +10,7 @@ witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .ideal import (
     Monomial,
@@ -18,7 +19,6 @@ from .ideal import (
     ZeroIdealError,
     component,
     is_single_degree,
-    monomials_of_degree,
 )
 
 VERDICT_SATISFIED = "satisfied-with-j"
@@ -193,16 +193,31 @@ def symmetric_exchange_holds(I: MonomialIdeal) -> bool:
     return True
 
 
+def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of total degree d with e_i <= caps[i], lex ascending."""
+    n = len(caps)
+    # room[i]: the most degree that positions i.. can still take
+    room = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+
+    def rec(prefix: tuple[int, ...], remaining: int, pos: int) -> Iterator[tuple[int, ...]]:
+        if pos == n - 1:
+            yield prefix + (remaining,)
+            return
+        for e in range(max(0, remaining - room[pos + 1]), min(caps[pos], remaining) + 1):
+            yield from rec(prefix + (e,), remaining - e, pos + 1)
+
+    if n and 0 <= d <= room[0]:
+        yield from rec((), d, 0)
+
+
 def veronese(params: VeroneseParams, nvars: int | None = None) -> MonomialIdeal:
     """All degree-d monomials within the exponent caps (already minimal)."""
     n = params.nvars
     if nvars is not None and nvars != n:
         raise ValueError(f"params describe {n} variables, expected {nvars}")
-    gens = tuple(
-        m
-        for m in monomials_of_degree(n, params.d)
-        if all(e <= a for e, a in zip(m.exps, params.caps))
-    )
+    gens = tuple(Monomial(e) for e in capped_exponents(params.d, params.caps))
     return MonomialIdeal._raw(n, gens)
 
 

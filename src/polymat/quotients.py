@@ -4,6 +4,16 @@ A certificate records an ordered sequence of generators, appended after
 an optional base ideal, such that at every step the colon of the
 predecessors by the next generator is generated by variables.  The
 certificate re-verifies from its own data.
+
+One step test serves checking, searching and verification, and it works
+on exponents without building the colon.  The colon (g_1, ..., g_N) : v
+is generated by the quotients g_k / gcd(g_k, v), whose supports are
+{i : g_i > v_i}.  Let S be the variables that occur as a quotient of
+degree 1.  The colon is generated by variables exactly when every
+quotient's support meets S, and then S is its variable set.  A quotient
+equal to 1 (g_k divides v) meets nothing and fails the step; no
+predecessors give the zero colon and the empty step.  The cost is
+O(N*n) per step.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .ideal import (
     is_single_degree,
     maximal_ideal,
 )
-from .polymatroid import VeroneseParams, detect_veronese, veronese
+from .polymatroid import VeroneseParams, capped_exponents, detect_veronese, veronese
 
 DEFAULT_SEARCH_CAP = 20
 
@@ -41,18 +51,16 @@ class LinearQuotientsCertificate:
     steps: tuple[frozenset[int], ...]
 
     def verify(self) -> bool:
-        """Recompute every colon from scratch and compare with the steps."""
-        if len(self.appended) != len(self.steps):
+        """Re-check the sequence from scratch and compare the steps.
+
+        A sequence that is not a minimal generating set over the base,
+        or mixes numbers of variables, fails rather than raises.
+        """
+        try:
+            cert, _ = check_lq_order(self.base, self.appended)
+        except ValueError:
             return False
-        current = list(self.base.gens)
-        for v, expected in zip(self.appended, self.steps):
-            J = _colon_gens(current, v)
-            if any(g.degree != 1 for g in J):
-                return False
-            if frozenset(g.exps.index(1) + 1 for g in J) != expected:
-                return False
-            current.append(v)
-        return True
+        return cert is not None and cert.steps == tuple(self.steps)
 
     def to_json(self) -> dict:
         return {
@@ -62,8 +70,23 @@ class LinearQuotientsCertificate:
         }
 
 
-def _colon_gens(gens: Sequence[Monomial], v: Monomial) -> tuple[Monomial, ...]:
-    return _minimal_sorted(g.quotient_by_gcd(v) for g in gens)
+def _lq_step(current: Sequence[Monomial], v: Monomial) -> frozenset[int] | None:
+    """The variables (1-based) generating (current) : v, or None when that
+    colon is not generated by variables."""
+    ve = v.exps
+    step: set[int] = set()
+    wider: list[list[int]] = []
+    for g in current:
+        supp = [i for i, e in enumerate(g.exps) if e > ve[i]]
+        if len(supp) == 1 and g.exps[supp[0]] == ve[supp[0]] + 1:
+            step.add(supp[0])
+        elif supp:
+            wider.append(supp)
+        else:
+            return None  # g divides v: the colon is the unit ideal
+    if any(step.isdisjoint(supp) for supp in wider):
+        return None
+    return frozenset(i + 1 for i in step)
 
 
 def _check_joint_minimality(base: MonomialIdeal, order: Sequence[Monomial]) -> None:
@@ -87,10 +110,10 @@ def check_lq_order(
     current = list(base.gens)
     steps: list[frozenset[int]] = []
     for pos, v in enumerate(order):
-        J = _colon_gens(current, v)
-        if any(g.degree != 1 for g in J):
+        step = _lq_step(current, v)
+        if step is None:
             return None, pos
-        steps.append(frozenset(g.exps.index(1) + 1 for g in J))
+        steps.append(step)
         current.append(v)
     return LinearQuotientsCertificate(base, order, tuple(steps)), None
 
@@ -128,11 +151,11 @@ def find_lq_order(
         for idx, v in enumerate(pool):
             if idx in placed:
                 continue
-            J = _colon_gens(current, v)
-            if any(g.degree != 1 for g in J):
+            step = _lq_step(current, v)
+            if step is None:
                 continue
             order.append(v)
-            steps.append(frozenset(g.exps.index(1) + 1 for g in J))
+            steps.append(step)
             if extend(placed | {idx}):
                 return True
             order.pop()
@@ -220,12 +243,13 @@ def extend_lq_veronese(
         raise ValueError("target degree must be the source degree plus one")
 
     I = veronese(p)
-    J = veronese(q)
+    j_gens = set(veronese(q).gens)
     Im = ideal_product(I, maximal_ideal(n))
-    if not J.contains_ideal(Im):
-        raise ValueError("precondition violated: I*m is not contained in J")
-
     im_gens = set(Im.gens)
+    # both ideals are generated in degree d+1, so containment is inclusion
+    # of the generator sets
+    if not im_gens <= j_gens:
+        raise ValueError("precondition violated: I*m is not contained in J")
 
     # stage 1: up to caps a_i + 1
     stage1_params = VeroneseParams(q.d, tuple(a + 1 for a in p.caps))
@@ -250,15 +274,17 @@ def extend_lq_veronese(
     for s in range(n):
         target = min(q.caps[s], q.d)
         while caps[s] < target:
-            caps[s] += 1
-            K = veronese(VeroneseParams(q.d, tuple(caps)))
-            batch = sorted(
-                (u for u in K.gens if u not in current),
-                key=lambda u: _lex_desc_key(u.exps),
-            )
+            # the new generators have x_s at the raised cap c and their
+            # other exponents within the current caps
+            c = caps[s] = caps[s] + 1
+            others = caps[:s] + [0] + caps[s + 1:]
+            batch = [
+                Monomial(e[:s] + (c,) + e[s + 1:])
+                for e in reversed(list(capped_exponents(q.d - c, others)))
+            ]
             appended.extend(batch)
-            current = set(K.gens)
-    if current != set(J.gens):
+            current.update(batch)
+    if current != j_gens:
         raise AssertionError("cap raising did not terminate at the target ideal")
 
     cert, failed_at = check_lq_order(Im, appended)

@@ -384,10 +384,16 @@ def test_roundtrip_property(ideal):
 
 
 @settings(max_examples=50, deadline=None)
-@given(ideals(3))
-def test_gens_are_antichain(ideal):
-    gens = ideal.gens
+@given(st.lists(monomials(3, maxexp=3), min_size=1, max_size=8))
+def test_gens_are_antichain(drawn):
+    # repeating a prefix puts duplicates in every input
+    given_gens = drawn + drawn[: len(drawn) // 2 + 1]
+    gens = MonomialIdeal(3, given_gens).gens
     for a in gens:
         for b in gens:
             if a is not b:
                 assert not a.divides(b)
+    # brute force: the input monomials that no other distinct input divides
+    assert set(gens) == {
+        m for m in given_gens if not any(k != m and k.divides(m) for k in given_gens)
+    }

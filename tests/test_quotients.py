@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymat.ideal import (
+    Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
+    colon,
     ideal_product,
     maximal_ideal,
     parse_generators,
@@ -18,6 +20,7 @@ from polymat.ideal import (
 from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
 from polymat.quotients import (
     LinearQuotientsCertificate,
+    _lq_step,
     check_lq_order,
     componentwise_veronese_lq,
     extend_lq_veronese,
@@ -28,7 +31,7 @@ from polymat.quotients import (
 )
 from polymat.resolution import is_componentwise_linear
 
-from oracles import lq_exists_bruteforce
+from oracles import lq_exists_bruteforce, lq_order_ok_primitive
 
 
 def I(text, n):
@@ -65,6 +68,20 @@ class TestCheckOrder:
         bad = LinearQuotientsCertificate(
             cert.base, cert.appended, (frozenset(), frozenset({1}), frozenset({1}))
         )
+        assert not bad.verify()
+
+    def test_certificate_of_non_minimal_sequence_rejected(self):
+        # (x1*x2) : x1 = (x2), so each step alone looks linear, but x1
+        # divides x1*x2 and the sequence is no minimal generating set
+        bad = LinearQuotientsCertificate(
+            zero(2), tuple(parse_generators("x1*x2, x1", 2)), (frozenset(), frozenset({2}))
+        )
+        assert not bad.verify()
+
+    def test_certificate_with_mixed_nvars_rejected(self):
+        # a pairwise comparison of exponents would silently drop x3
+        appended = (parse_generators("x1", 2)[0], parse_generators("x2*x3", 3)[0])
+        bad = LinearQuotientsCertificate(zero(2), appended, (frozenset(), frozenset({1})))
         assert not bad.verify()
 
     def test_nonzero_base(self):
@@ -279,3 +296,61 @@ def test_certificates_self_verify(caps, d):
     cert = revlex_lq(ideal)
     if cert is not None:
         assert cert.verify()
+
+
+def _exponent_monomials(n):
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda e: Monomial(tuple(e))
+    )
+
+
+@st.composite
+def step_cases(draw):
+    """Predecessors (any list, possibly empty) and a next generator v,
+    with v often a multiple of some predecessor."""
+    n = draw(st.integers(1, 4))
+    current = draw(st.lists(_exponent_monomials(n), max_size=6))
+    v = draw(_exponent_monomials(n))
+    if current and draw(st.booleans()):
+        v = draw(st.sampled_from(current)) * v
+    return n, current, v
+
+
+@st.composite
+def lq_sequences(draw):
+    """A base ideal (possibly zero) and an order of further generators,
+    jointly a minimal generating set."""
+    n = draw(st.integers(1, 4))
+    drawn = draw(st.lists(_exponent_monomials(n), max_size=7))
+    gens = draw(st.permutations(MonomialIdeal(n, drawn).gens))
+    k = draw(st.integers(0, len(gens)))
+    return MonomialIdeal(n, gens[:k]), gens[k:]
+
+
+def _colon_variables(ideal, v):
+    """The variable set of ideal : v, or None when it is not generated by variables."""
+    J = colon(ideal, v)
+    if any(g.degree != 1 for g in J.gens):
+        return None
+    return frozenset().union(*(g.support for g in J.gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_step_test_matches_colon(case):
+    n, current, v = case
+    assert _lq_step(current, v) == _colon_variables(MonomialIdeal(n, current), v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lq_sequences())
+def test_check_order_matches_primitive_oracle(case):
+    base, order = case
+    cert, failed_at = check_lq_order(base, order)
+    assert (cert is not None) == lq_order_ok_primitive(base, order)
+    if cert is None:
+        return
+    assert failed_at is None and cert.verify()
+    for k, v in enumerate(order):
+        current = MonomialIdeal(base.nvars, base.gens + tuple(order[:k]))
+        assert cert.steps[k] == _colon_variables(current, v)
