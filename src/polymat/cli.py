@@ -199,7 +199,10 @@ def _predicate(args) -> int:
     code = EXIT_TRUE if ok else EXIT_FALSE
     lines = [f"{prop}: {str(ok).lower()}"]
     if witness and not ok:
-        lines.append(f"witness: u={witness['u']} v={witness['v']} i={witness['i']}")
+        line = f"witness: u={witness['u']} v={witness['v']} i={witness['i']}"
+        if witness["j"] is not None:
+            line += f" j={witness['j']}"
+        lines.append(line)
     if detail.get("failing_degree") is not None:
         lines.append(f"failing degree: {detail['failing_degree']}")
     return _emit(args, {"property": prop, "result": ok, "witness": witness, **detail}, lines, code)

@@ -488,6 +488,14 @@ def _check_pair(I: MonomialIdeal, J: MonomialIdeal) -> None:
         raise ValueError("nvars mismatch between ideals")
 
 
+def _require_proper(I: MonomialIdeal, what: str) -> None:
+    """Reject the zero and the unit ideal: ``what`` is undefined for them."""
+    if I.is_zero:
+        raise ZeroIdealError(f"{what} undefined for the zero ideal")
+    if I.is_unit:
+        raise UnitIdealError(f"{what} undefined for the unit ideal")
+
+
 # ---------------------------------------------------------------------------
 # enumeration helpers
 # ---------------------------------------------------------------------------

@@ -227,11 +227,16 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
     if not ok_a:
         witnesses["a"] = wit_a.to_json() if wit_a else {"reason": "not single degree"}
 
+    # each distinct non-unit colon once, with the first u that produced it:
+    # a repeat has the verdicts of its first occurrence, so the first
+    # failing u of every condition is unchanged
+    colons: dict[MonomialIdeal, Monomial] = {}
     failing_c: list[Monomial] = []
     for u in capped_divisors(I):
         J = colon(I, u)
-        if J.is_unit:
-            continue  # the whole ring satisfies every condition trivially
+        if J.is_unit or J in colons:
+            continue  # the whole ring passes every condition; a repeat is decided
+        colons[J] = u
         single = is_single_degree(J)
         if conditions["e"] and not single:
             conditions["e"] = False
@@ -252,17 +257,17 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
         if conditions["d"] and not has_linear_resolution(J, char):
             conditions["d"] = False
             witnesses["d"] = {"u": str(u)}
+        if not any(conditions[k] for k in "bcde"):
+            break  # every verdict and witness is settled; no retry follows
 
     convention_sensitive = False
     others = [conditions[k] for k in ("a", "b", "d", "e")]
     if conditions["c"] != all(others) and all(others):
         # decreasing revlex failed although the ideal looks polymatroidal:
-        # retry the opposite processing convention on every capped colon
+        # retry the opposite processing convention on every distinct colon
+        # (b, d and e held throughout, so the scan above saw them all)
         retry_ok = True
-        for u in capped_divisors(I):
-            J = colon(I, u)
-            if J.is_unit:
-                continue
+        for J, u in colons.items():
             if not is_single_degree(J) or revlex_lq(J, increasing=True) is None:
                 retry_ok = False
                 witnesses["c"] = {"u": str(u), "convention": "both"}

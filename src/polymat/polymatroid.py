@@ -1,7 +1,11 @@
 """Exchange-property predicates and Veronese-type constructions.
 
-All predicates work on the minimal generating set and test membership
-of single exchange moves x_j * (u / x_i) by divisibility against the
+All exchange predicates run one scanner over pairs of minimal
+generators.  A move x_j * (u / x_i) keeps the degree of u, so in an
+ideal generated in a single degree it lies in I exactly when it is a
+generator: membership is a lookup of its exponent tuple in the set of
+generator exponents, and no monomial is built.  Only a mixed-degree
+ideal (the non-pure exchange) falls back to divisibility against the
 generators.  False verdicts carry a witness that can be re-checked by
 brute force; pair iteration follows the canonical generator order, so
 witnesses are deterministic.
@@ -10,13 +14,12 @@ witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ideal import (
     Monomial,
     MonomialIdeal,
-    UnitIdealError,
-    ZeroIdealError,
+    _require_proper,
     component,
     is_single_degree,
 )
@@ -77,28 +80,48 @@ class ExchangeWitness:
         }
 
 
-def _require_proper(I: MonomialIdeal) -> None:
-    if I.is_zero:
-        raise ZeroIdealError("predicate undefined for the zero ideal")
-    if I.is_unit:
-        raise UnitIdealError("predicate undefined for the unit ideal")
-
-
-def _exchange_move(u: Monomial, i0: int, j0: int) -> tuple[int, ...]:
+def _exchange_move(ue: tuple[int, ...], i0: int, j0: int) -> tuple[int, ...]:
     """Exponents of x_{j0+1} * (u / x_{i0+1}), 0-based positions."""
-    e = list(u.exps)
+    e = list(ue)
     e[i0] -= 1
     e[j0] += 1
     return tuple(e)
 
 
-def _find_exchange_index(I: MonomialIdeal, u: Monomial, v: Monomial, i0: int) -> int | None:
-    """Least 0-based j with deg_j(u) < deg_j(v) and x_j*(u/x_i) in I."""
-    ue, ve = u.exps, v.exps
-    for j0 in range(I.nvars):
-        if ue[j0] < ve[j0] and I.contains(Monomial(_exchange_move(u, i0, j0))):
-            return j0
+def _exchange_violation(
+    I: MonomialIdeal, pairs: Iterable[tuple[Monomial, Monomial]], every_j: bool
+) -> ExchangeWitness | None:
+    """The first failing exchange step over ``pairs``, in their order.
+
+    For each pair (u, v) and each i with deg_{x_i}(u) > deg_{x_i}(v), the
+    moves x_j * (u / x_i) with deg_{x_j}(u) < deg_{x_j}(v) are tried in
+    increasing j; some move (every move, when ``every_j``) must lie in I.
+    Membership is a lookup among the generator exponents when I has a
+    single degree, and a divisibility scan otherwise.
+    """
+    if is_single_degree(I):
+        member = {g.exps for g in I.gens}.__contains__
+    else:
+        def member(e: tuple[int, ...]) -> bool:
+            return I.contains(Monomial(e))
+    n = I.nvars
+    for u, v in pairs:
+        ue, ve = u.exps, v.exps
+        gains = [j0 for j0 in range(n) if ue[j0] < ve[j0]]
+        for i0 in range(n):
+            if ue[i0] <= ve[i0]:
+                continue
+            if every_j:
+                for j0 in gains:
+                    if not member(_exchange_move(ue, i0, j0)):
+                        return ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED, j0 + 1)
+            elif not any(member(_exchange_move(ue, i0, j0)) for j0 in gains):
+                return ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED)
     return None
+
+
+def _distinct_pairs(I: MonomialIdeal) -> Iterator[tuple[Monomial, Monomial]]:
+    return ((u, v) for u in I.gens for v in I.gens if u is not v)
 
 
 def is_polymatroidal(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]:
@@ -108,43 +131,26 @@ def is_polymatroidal(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]:
     violating triple; the witness is None when the ideal is not even
     generated in a single degree.
     """
-    _require_proper(I)
+    _require_proper(I, "predicate")
     if not is_single_degree(I):
         return False, None
-    for u in I.gens:
-        for v in I.gens:
-            if u is v:
-                continue
-            ue, ve = u.exps, v.exps
-            for i0 in range(I.nvars):
-                if ue[i0] > ve[i0] and _find_exchange_index(I, u, v, i0) is None:
-                    return False, ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED)
-    return True, None
+    witness = _exchange_violation(I, _distinct_pairs(I), every_j=False)
+    return witness is None, witness
 
 
 def is_matroidal(I: MonomialIdeal) -> bool:
     """Squarefree and polymatroidal."""
-    _require_proper(I)
+    _require_proper(I, "predicate")
     return I.is_squarefree and is_polymatroidal(I)[0]
 
 
 def has_strong_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]:
     """The exchange condition for every admissible pair (i, j), not just some j."""
-    _require_proper(I)
+    _require_proper(I, "predicate")
     if not is_single_degree(I):
         return False, None
-    for u in I.gens:
-        for v in I.gens:
-            if u is v:
-                continue
-            ue, ve = u.exps, v.exps
-            for i0 in range(I.nvars):
-                if ue[i0] <= ve[i0]:
-                    continue
-                for j0 in range(I.nvars):
-                    if ue[j0] < ve[j0] and not I.contains(Monomial(_exchange_move(u, i0, j0))):
-                        return False, ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED, j0 + 1)
-    return True, None
+    witness = _exchange_violation(I, _distinct_pairs(I), every_j=True)
+    return witness is None, witness
 
 
 def has_nonpure_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]:
@@ -155,42 +161,15 @@ def has_nonpure_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None
     The witness keeps the 'modified monomial first' orientation, so its
     u field holds the higher-degree generator.
     """
-    _require_proper(I)
-    for small in I.gens:
-        for big in I.gens:
-            if small is big or small.degree > big.degree:
-                continue
-            se, be = small.exps, big.exps
-            for i0 in range(I.nvars):
-                if be[i0] > se[i0] and _find_exchange_index(I, big, small, i0) is None:
-                    return False, ExchangeWitness(big, small, i0 + 1, VERDICT_VIOLATED)
-    return True, None
-
-
-def symmetric_exchange_holds(I: MonomialIdeal) -> bool:
-    """The symmetric variant: u may gain x_i and drop some x_t it exceeds in.
-
-    For u, v in G(I) with deg_{x_i}(v) > deg_{x_i}(u) there must be t with
-    deg_{x_t}(u) > deg_{x_t}(v) and u * x_i / x_t in I.  A consequence of
-    the exchange property for polymatroidal ideals; exposed for the lab.
-    """
-    _require_proper(I)
-    for u in I.gens:
-        for v in I.gens:
-            if u is v:
-                continue
-            ue, ve = u.exps, v.exps
-            for i0 in range(I.nvars):
-                if ve[i0] <= ue[i0]:
-                    continue
-                ok = False
-                for t0 in range(I.nvars):
-                    if ue[t0] > ve[t0] and I.contains(Monomial(_exchange_move(u, t0, i0))):
-                        ok = True
-                        break
-                if not ok:
-                    return False
-    return True
+    _require_proper(I, "predicate")
+    pairs = (
+        (big, small)
+        for small in I.gens
+        for big in I.gens
+        if small is not big and small.degree <= big.degree
+    )
+    witness = _exchange_violation(I, pairs, every_j=False)
+    return witness is None, witness
 
 
 def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -227,7 +206,7 @@ def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:
     Uses the tight caps a_i = max exponent of x_i over the generators and
     compares the reconstruction with I.
     """
-    _require_proper(I)
+    _require_proper(I, "predicate")
     if not is_single_degree(I):
         raise ValueError("Veronese detection requires a single generator degree")
     d = I.gens[0].degree
@@ -245,7 +224,7 @@ def is_componentwise_polymatroidal(
     and follow from product closure; ``extra_degrees`` extends the checked
     range past d for validating that shortcut rather than assuming it.
     """
-    _require_proper(I)
+    _require_proper(I, "predicate")
     for j in _component_range(I, extra_degrees):
         if not is_polymatroidal(component(I, j))[0]:
             return False, j
@@ -256,7 +235,7 @@ def is_componentwise_veronese(
     I: MonomialIdeal, extra_degrees: int = 0
 ) -> tuple[bool, int | None]:
     """Every graded component in the generator-degree range is of Veronese type."""
-    _require_proper(I)
+    _require_proper(I, "predicate")
     for j in _component_range(I, extra_degrees):
         if detect_veronese(component(I, j)) is None:
             return False, j

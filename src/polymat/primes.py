@@ -1,9 +1,11 @@
 """Irreducible decomposition and associated primes of monomial ideals.
 
-The decomposition splits any generator that is not a pure power and
-prunes the result to the unique irredundant set of irreducible
-components.  Associated primes are the radicals of those components,
-each validated by an explicit witness monomial w with I : w = P.
+The decomposition splits any generator that is not a pure power, then
+keeps the inclusion-minimal components: irreducible monomial ideals are
+meet-prime, so that is the unique irredundant set, found by comparing
+pure powers without intersecting ideals.  Associated primes are the
+radicals of those components, each validated by an explicit witness
+monomial w with I : w = P.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from .ideal import (
     Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
-    UnitIdealError,
     VarSubset,
-    ZeroIdealError,
+    _require_proper,
     colon,
     divisors,
-    ideal_intersection,
     ideal_product,
     power,
     prime_ideal,
@@ -87,13 +87,6 @@ class AssociatedPrimes:
         }
 
 
-def _require_proper(I: MonomialIdeal) -> None:
-    if I.is_zero:
-        raise ZeroIdealError("decomposition undefined for the zero ideal")
-    if I.is_unit:
-        raise UnitIdealError("decomposition undefined for the unit ideal")
-
-
 def _split_once(I: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal] | None:
     """Split on a generator with at least two variables; None if all are
     pure powers."""
@@ -112,8 +105,16 @@ def _split_once(I: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal] | None:
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """The irredundant set of irreducible components intersecting to I."""
-    _require_proper(I)
+    """The irredundant set of irreducible components intersecting to I.
+
+    These are the inclusion-minimal split components, in sorted order.
+    Irreducible ideals are meet-prime: if J1 and J2 meet inside
+    Q = (x_i^{a_i} : i in A) while u in J1 and v in J2 lie outside Q,
+    then lcm(u, v) lies in Q, so max(u_i, v_i) >= a_i for some i in A and
+    u or v lies in Q after all.  Hence J1 or J2 lies in Q, and the other
+    components meet inside Q_k exactly when one of them lies in Q_k.
+    """
+    _require_proper(I, "decomposition")
 
     components: set[IrreducibleComponent] = set()
     seen: set[MonomialIdeal] = set()
@@ -134,20 +135,13 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
             stack.extend(split)
 
     comps = sorted(components, key=lambda c: c.powers)
-    # irredundancy: drop any component containing the intersection of the rest
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for k in range(len(comps)):
-            rest = comps[:k] + comps[k + 1:]
-            meet = rest[0].as_ideal(I.nvars)
-            for c in rest[1:]:
-                meet = ideal_intersection(meet, c.as_ideal(I.nvars))
-            if comps[k].as_ideal(I.nvars).contains_ideal(meet):
-                comps = rest
-                changed = True
-                break
-    return tuple(comps)
+    return tuple(c for c in comps if not any(d is not c and _within(d, c) for d in comps))
+
+
+def _within(inner: IrreducibleComponent, outer: IrreducibleComponent) -> bool:
+    """(x_i^{b_i} : i in B) lies in (x_i^{a_i} : i in A): B in A, a_i <= b_i."""
+    a = dict(outer.powers)
+    return all(i in a and a[i] <= b for i, b in inner.powers)
 
 
 def associated_primes(
@@ -161,7 +155,7 @@ def associated_primes(
     the lcm.  A candidate without a witness is reported as an error,
     never dropped silently.
     """
-    _require_proper(I)
+    _require_proper(I, "decomposition")
     candidates = sorted(
         {c.radical for c in irreducible_decomposition(I)},
         key=lambda p: (len(p), sorted(p)),

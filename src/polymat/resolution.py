@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
-    UnitIdealError,
-    ZeroIdealError,
+    _require_proper,
     component,
     is_single_degree,
 )
@@ -330,7 +329,7 @@ def betti_table(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> BettiTable:
     """The exact Betti table of I over a field of the given characteristic."""
-    _require_proper(I)
+    _require_proper(I, "Betti numbers")
     entries: dict[tuple[int, int], int] = {}
     for j, homology in _lattice_homology(I, char, budget):
         for dim, h in homology.items():
@@ -346,7 +345,7 @@ def has_linear_resolution(
 
     Stops at the first multidegree with homology off that strand.
     """
-    _require_proper(I)
+    _require_proper(I, "Betti numbers")
     if not is_single_degree(I):
         return False
     d = I.gens[0].degree
@@ -361,7 +360,7 @@ def has_linear_relations(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
     """First syzygies all linear: beta_{1,j} = 0 for j != d + 1."""
-    _require_proper(I)
+    _require_proper(I, "Betti numbers")
     if not is_single_degree(I):
         raise ValueError("linear relations are defined for equigenerated ideals")
     d = I.gens[0].degree
@@ -373,15 +372,8 @@ def is_componentwise_linear(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
     """Every component in the generator-degree range has a linear resolution."""
-    _require_proper(I)
+    _require_proper(I, "Betti numbers")
     for j in range(I.min_degree, I.max_degree + 1):
         if not has_linear_resolution(component(I, j), char, budget):
             return False
     return True
-
-
-def _require_proper(I: MonomialIdeal) -> None:
-    if I.is_zero:
-        raise ZeroIdealError("Betti numbers undefined for the zero ideal")
-    if I.is_unit:
-        raise UnitIdealError("Betti numbers undefined for the unit ideal")

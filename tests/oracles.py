@@ -5,15 +5,24 @@ from Taylor-complex strand homology over generator subsets (the library
 uses upper Koszul complexes over variables), upper Koszul complexes come
 from membership tests over every subset of the support (the library
 reads their facets from the generators), colon ideals are checked by raw
-membership, and linear-quotient searches are re-done by permutation
-enumeration on top of the primitive colon.
+membership, linear-quotient searches are re-done by permutation
+enumeration on top of the primitive colon, and the exchange predicates
+are the plain pair loops that test every move by divisibility (the
+library looks moves up among the generators).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from polymat.ideal import Monomial, MonomialIdeal, colon, monomials_of_degree
+from polymat.ideal import (
+    Monomial,
+    MonomialIdeal,
+    colon,
+    is_single_degree,
+    monomials_of_degree,
+)
+from polymat.polymatroid import VERDICT_VIOLATED, ExchangeWitness
 from polymat.resolution import matrix_rank
 
 
@@ -128,3 +137,62 @@ def lq_exists_bruteforce(base: MonomialIdeal, gens) -> bool:
     return any(
         lq_order_ok_primitive(base, perm) for perm in itertools.permutations(gens)
     )
+
+
+def _move_in(I: MonomialIdeal, u: Monomial, i0: int, j0: int) -> bool:
+    """x_{j0+1} * (u / x_{i0+1}) lies in I, by divisibility."""
+    e = list(u.exps)
+    e[i0] -= 1
+    e[j0] += 1
+    return I.contains(Monomial(e))
+
+
+def _some_move_in(I: MonomialIdeal, u: Monomial, v: Monomial, i0: int) -> bool:
+    return any(
+        u.exps[j0] < v.exps[j0] and _move_in(I, u, i0, j0) for j0 in range(I.nvars)
+    )
+
+
+def is_polymatroidal_loop(I: MonomialIdeal):
+    """Single degree plus the exchange property, one divisibility scan per move."""
+    if not is_single_degree(I):
+        return False, None
+    for u in I.gens:
+        for v in I.gens:
+            if u is v:
+                continue
+            for i0 in range(I.nvars):
+                if u.exps[i0] > v.exps[i0] and not _some_move_in(I, u, v, i0):
+                    return False, ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED)
+    return True, None
+
+
+def has_strong_exchange_loop(I: MonomialIdeal):
+    """Every admissible (i, j) moves into I, one divisibility scan per move."""
+    if not is_single_degree(I):
+        return False, None
+    for u in I.gens:
+        for v in I.gens:
+            if u is v:
+                continue
+            for i0 in range(I.nvars):
+                if u.exps[i0] <= v.exps[i0]:
+                    continue
+                for j0 in range(I.nvars):
+                    if u.exps[j0] < v.exps[j0] and not _move_in(I, u, i0, j0):
+                        return False, ExchangeWitness(
+                            u, v, i0 + 1, VERDICT_VIOLATED, j0 + 1
+                        )
+    return True, None
+
+
+def has_nonpure_exchange_loop(I: MonomialIdeal):
+    """Exchange across degrees, the higher-degree generator losing x_i."""
+    for small in I.gens:
+        for big in I.gens:
+            if small is big or small.degree > big.degree:
+                continue
+            for i0 in range(I.nvars):
+                if big.exps[i0] > small.exps[i0] and not _some_move_in(I, big, small, i0):
+                    return False, ExchangeWitness(big, small, i0 + 1, VERDICT_VIOLATED)
+    return True, None

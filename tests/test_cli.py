@@ -153,6 +153,27 @@ class TestPredicates:
         assert data["witness"]["u"] == "x1*x3^2" and data["witness"]["i"] == 1
 
 
+    def test_strong_exchange_text_witness_names_j(self, capsys):
+        argv = ["check", "strong-exchange", "-n", "3", "x1*x2, x3^2"]
+        assert run(argv) == 1
+        assert "witness: u=x3^2 v=x1*x2 i=3 j=1" in capsys.readouterr().out
+        code, data = run_json(capsys, argv)
+        assert data["witness"] == {
+            "u": "x3^2", "v": "x1*x2", "i": 3, "verdict": "violated", "j": 1
+        }
+
+    def test_zero_unit_messages_name_the_operation(self, capsys):
+        for argv, noun in (
+            (["ass", "-n", "2", "1"], "decomposition"),
+            (["check", "polymatroidal", "-n", "2", "1"], "predicate"),
+            (["betti", "-n", "2", "1"], "Betti numbers"),
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr().err.strip() == (
+                f"error: {noun} undefined for the unit ideal"
+            )
+
+
 class TestOperations:
     def test_localize_ones(self, capsys):
         code = run(["localize", "-n", "6", "--ones", "4", "x1*x2*x3, x2*x3*x4, x3*x5*x6"])

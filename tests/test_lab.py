@@ -9,6 +9,8 @@ import pytest
 from polymat import lab
 from polymat.ideal import (
     ResourceLimitExceeded,
+    capped_divisors,
+    colon,
     is_single_degree,
     localize,
     parse_ideal,
@@ -24,6 +26,7 @@ from polymat.lab import (
     verify_squarefree,
 )
 from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
+from polymat.quotients import revlex_lq
 from polymat.resolution import has_linear_resolution
 
 from oracles import taylor_betti
@@ -98,6 +101,68 @@ class TestVerifyEquivalences:
         data = rec.to_json()
         json.dumps(data)
         assert data["conditions"]["a"] is False
+
+
+class TestVerifyEquivalencesColonsOnce:
+    # each has a colon that repeats over its capped divisors; in the first
+    # two cases a repeated colon is the first to fail condition e
+    CASES = [
+        ("x1^2, x2^2, x2*x3, x3^2", 3),
+        ("x1*x3^2, x1*x2*x3, x1*x2^2, x1^3", 3),
+        ("x1^2, x1*x2, x2^2", 2),
+        ("x1*x2, x1*x3, x2*x3", 3),
+        ("x1^2, x2^2", 2),
+        ("x1^2, x1*x2, x3^2, x2*x3", 3),
+        ("x1*x3^2, x1^2*x3, x1*x2*x3, x2^2*x3", 3),
+        ("x1*x2, x1*x3^2, x2*x3^2", 3),
+        ("x1^2*x2, x1*x2^2, x3^3", 3),
+    ]
+
+    @staticmethod
+    def first_failures(ideal):
+        """Witnesses of conditions b-e from every capped divisor in order."""
+        found = {}
+        for u in capped_divisors(ideal):
+            J = colon(ideal, u)
+            if J.is_unit:
+                continue
+            single = is_single_degree(J)
+            if not single and "e" not in found:
+                found["e"] = {"u": str(u), "degrees": list(J.degrees())}
+            ok_b, wit_b = is_polymatroidal(J)
+            if not ok_b and "b" not in found:
+                found["b"] = {
+                    "u": str(u),
+                    "witness": wit_b.to_json() if wit_b else "not single degree",
+                }
+            if (not single or revlex_lq(J) is None) and "c" not in found:
+                found["c"] = {"u": str(u), "convention": "decreasing"}
+            if not has_linear_resolution(J) and "d" not in found:
+                found["d"] = {"u": str(u)}
+        return found
+
+    def test_witnesses_match_brute_force(self):
+        for text, n in self.CASES:
+            ideal = I(text, n)
+            rec = verify_equivalences(ideal)
+            assert not rec.convention_sensitive
+            got = {k: v for k, v in rec.witnesses.items() if k != "a"}
+            assert got == self.first_failures(ideal), text
+
+    def test_each_colon_decided_once(self, monkeypatch):
+        seen = []
+
+        def counting(J, char=0):
+            seen.append(J)
+            return has_linear_resolution(J, char)
+
+        monkeypatch.setattr(lab, "has_linear_resolution", counting)
+        for text, n in self.CASES:
+            seen.clear()
+            ideal = I(text, n)
+            verify_equivalences(ideal)
+            assert seen and len(seen) == len(set(seen)), text
+            assert not any(J.is_unit for J in seen), text
 
 
 class TestVerifySquarefree:

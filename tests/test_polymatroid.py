@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from polymat.ideal import (
     Monomial,
+    MonomialIdeal,
     UnitIdealError,
     ZeroIdealError,
     capped_divisors,
     colon,
     ideal_product,
     maximal_ideal,
+    monomials_of_degree,
     parse_ideal,
     power,
 )
@@ -26,8 +28,13 @@ from polymat.polymatroid import (
     is_componentwise_veronese,
     is_matroidal,
     is_polymatroidal,
-    symmetric_exchange_holds,
     veronese,
+)
+
+from oracles import (
+    has_nonpure_exchange_loop,
+    has_strong_exchange_loop,
+    is_polymatroidal_loop,
 )
 
 
@@ -103,14 +110,6 @@ class TestPolymatroidal:
         B = I("x1, x2", 3)
         assert is_polymatroidal(ideal_product(A, B))[0]
         assert is_polymatroidal(ideal_product(A, A))[0]
-
-    def test_symmetric_exchange_on_polymatroidal(self):
-        for text, n in [
-            ("x1*x2, x1*x3, x2*x3", 3),
-            ("x1^2, x1*x2, x2^2", 2),
-            ("x1*x3, x1*x4, x2*x3, x2*x4", 4),
-        ]:
-            assert symmetric_exchange_holds(I(text, n))
 
 
 class TestMatroidal:
@@ -291,7 +290,6 @@ def test_veronese_polymatroidal_property(t):
     d, caps = t
     ideal = veronese(VeroneseParams(d, tuple(caps)))
     assert is_polymatroidal(ideal)[0]
-    assert symmetric_exchange_holds(ideal)
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,3 +304,34 @@ def test_product_closure_property(t1, t2):
     except ValueError:
         return
     assert is_polymatroidal(ideal_product(A, B))[0]
+
+
+@st.composite
+def exchange_ideals(draw):
+    """Ideals in at most 4 variables, generated in one degree or in several."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pool = list(monomials_of_degree(n, draw(st.integers(1, 3))))
+        gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    else:
+        exps = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        gens = draw(
+            st.lists(
+                exps.map(Monomial).filter(lambda m: m.degree > 0), min_size=1, max_size=6
+            )
+        )
+    return MonomialIdeal(n, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exchange_ideals())
+def test_exchange_scanner_matches_pair_loops(ideal):
+    for scanner, loop in (
+        (is_polymatroidal, is_polymatroidal_loop),
+        (has_strong_exchange, has_strong_exchange_loop),
+        (has_nonpure_exchange, has_nonpure_exchange_loop),
+    ):
+        ok, wit = scanner(ideal)
+        ok_ref, wit_ref = loop(ideal)
+        assert ok == ok_ref, (scanner.__name__, str(ideal))
+        assert (wit and wit.to_json()) == (wit_ref and wit_ref.to_json()), str(ideal)

@@ -169,23 +169,26 @@ class TestTransversal:
             transversal(2, [[1], [2]], [1])
 
 
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    gens = draw(st.lists(exps.map(Monomial), min_size=1, max_size=4))
+    return MonomialIdeal(n, gens)
+
+
 @settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.builds(
-            Monomial,
-            st.lists(st.integers(0, 2), min_size=3, max_size=3).map(tuple),
-        ).filter(lambda m: m.degree > 0),
-        min_size=1,
-        max_size=3,
-    )
-)
-def test_decomposition_recombines_property(gens):
-    ideal = MonomialIdeal(3, gens)
+@given(small_ideals())
+def test_decomposition_recombines_property(ideal):
     if ideal.is_zero or ideal.is_unit:
         return
     comps = irreducible_decomposition(ideal)
-    assert recombine(list(comps), 3) == ideal
+    assert recombine(list(comps), ideal.nvars) == ideal
+    # irredundant: the intersection of the others is strictly larger
+    for k in range(len(comps)):
+        rest = list(comps[:k]) + list(comps[k + 1:])
+        if rest:
+            assert recombine(rest, ideal.nvars) != ideal, (str(ideal), k)
 
 
 @settings(max_examples=25, deadline=None)
