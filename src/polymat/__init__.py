@@ -9,7 +9,6 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     UnitIdealError,
-    VarSubset,
     ZeroIdealError,
     capped_divisors,
     colon,
@@ -23,7 +22,6 @@ from .ideal import (
     is_single_degree,
     localize,
     maximal_ideal,
-    minimalize,
     monomials_of_degree,
     parse_generators,
     parse_ideal,

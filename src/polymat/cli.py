@@ -60,10 +60,9 @@ EXIT_VIOLATION = 4
 
 
 def _parse_params(text: str) -> VeroneseParams:
-    """Veronese parameters as 'd:a1,a2,...' (';' also accepted)."""
-    sep = ":" if ":" in text else ";"
+    """Veronese parameters as 'd:a1,a2,...'."""
     try:
-        head, tail = text.split(sep, 1)
+        head, tail = text.split(":", 1)
         d = int(head)
         caps = tuple(int(x) for x in tail.split(","))
     except ValueError as exc:
@@ -385,27 +384,20 @@ def _dispatch(args) -> int:
         for ce in summary["counterexamples"]:
             lines.append(f"  {ce['status']}: {ce['ideal']}")
         code = EXIT_VIOLATION if summary["forward_violations"] else EXIT_TRUE
-        if args.json:
-            print(json.dumps({"command": "scan", "exit_code": code, **report.to_json()}, sort_keys=True))
-            return code
-        for line in lines:
-            print(line)
-        return code
+        return _emit(args, report.to_json(), lines, code)
 
     if cmd == "suite":
         report = example_suite(args.char)
         code = EXIT_TRUE if report.summary["all_passed"] else EXIT_VIOLATION
-        if args.json:
-            print(json.dumps({"command": "suite", "exit_code": code, **report.to_json()}, sort_keys=True))
-            return code
+        lines = []
         for item in report.items:
             tag = "experimental " if item["experimental"] else ""
             status = "pass" if item["passed"] else "FAIL"
-            print(f"{status:4s} {tag}{item['name']}")
-        print(
+            lines.append(f"{status} {tag}{item['name']}")
+        lines.append(
             f"{report.summary['passed']}/{report.summary['required']} required checks passed"
         )
-        return code
+        return _emit(args, report.to_json(), lines, code)
 
     raise AssertionError(f"unhandled command {cmd}")
 

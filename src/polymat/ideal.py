@@ -13,8 +13,7 @@ text grammar ``x1*x3^2, x2^2``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class ResourceLimitExceeded(Exception):
@@ -117,40 +116,13 @@ class Monomial:
         return f"Monomial({str(self)!r}, nvars={self.nvars})"
 
 
-@dataclass(frozen=True)
-class VarSubset:
-    """A subset C of the variable indices {1..n}.
-
-    Used both for the substitution set of a monomial localization (the
-    variables sent to 1) and for the generating variables of a monomial
-    prime ideal.
-    """
-
-    members: frozenset[int]
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "VarSubset":
-        return cls(frozenset(int(i) for i in indices))
-
-    def validate(self, nvars: int) -> None:
-        bad = [i for i in self.members if not 1 <= i <= nvars]
-        if bad:
-            raise ValueError(f"variable indices {sorted(bad)} out of range 1..{nvars}")
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
-
-
-def _as_varset(C: "VarSubset | Iterable[int]") -> frozenset[int]:
-    if isinstance(C, VarSubset):
-        return C.members
-    return frozenset(int(i) for i in C)
+def _variable_indices(C: Iterable[int], nvars: int) -> frozenset[int]:
+    """The 1-based variable indices in C, each checked against 1..nvars."""
+    members = frozenset(int(i) for i in C)
+    bad = [i for i in members if not 1 <= i <= nvars]
+    if bad:
+        raise ValueError(f"variable indices {sorted(bad)} out of range 1..{nvars}")
+    return members
 
 
 def _minimal_sorted(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -347,16 +319,6 @@ def parse_ideal(text: str, nvars: int) -> MonomialIdeal:
 # ideal operations
 # ---------------------------------------------------------------------------
 
-def minimalize(gens: Sequence[Monomial], nvars: int | None = None) -> MonomialIdeal:
-    """The ideal generated by ``gens``, i.e. their divisibility-minimal part."""
-    gens = tuple(gens)
-    if nvars is None:
-        if not gens:
-            raise ValueError("cannot infer nvars from an empty generator list")
-        nvars = gens[0].nvars
-    return MonomialIdeal(nvars, gens)
-
-
 def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal I : u, via v -> v / gcd(v, u) over the generators."""
     if u.nvars != I.nvars:
@@ -374,16 +336,14 @@ def saturate(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     return cur
 
 
-def localize(I: MonomialIdeal, C: "VarSubset | Iterable[int]") -> MonomialIdeal:
+def localize(I: MonomialIdeal, C: Iterable[int]) -> MonomialIdeal:
     """Monomial localization: substitute x_i -> 1 for every i in C.
 
     Equals the saturation of I at the product of the variables in C.
     The number of variables is preserved; the variables in C simply no
     longer occur.
     """
-    members = _as_varset(C)
-    VarSubset(members).validate(I.nvars)
-    zeroed = frozenset(i - 1 for i in members)
+    zeroed = frozenset(i - 1 for i in _variable_indices(C, I.nvars))
     gens = (
         Monomial(0 if i in zeroed else e for i, e in enumerate(g.exps))
         for g in I.gens
@@ -467,13 +427,11 @@ def colon_by_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return result
 
 
-def prime_ideal(nvars: int, C: "VarSubset | Iterable[int]") -> MonomialIdeal:
+def prime_ideal(nvars: int, C: Iterable[int]) -> MonomialIdeal:
     """The monomial prime ideal generated by the variables in C (1-based)."""
-    members = _as_varset(C)
-    VarSubset(members).validate(nvars)
     gens = (
         Monomial(tuple(1 if j == i - 1 else 0 for j in range(nvars)))
-        for i in members
+        for i in _variable_indices(C, nvars)
     )
     return MonomialIdeal._raw(nvars, _minimal_sorted(gens))
 

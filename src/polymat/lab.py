@@ -295,11 +295,14 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
 # Squarefree localization equivalences, including powers
 # ---------------------------------------------------------------------------
 
-def _all_subsets(nvars: int) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(nvars + 1):
-        out.extend(itertools.combinations(range(1, nvars + 1), size))
-    return out
+def _localizations(I: MonomialIdeal) -> Iterator[tuple[tuple[int, ...], MonomialIdeal]]:
+    """(C, I localized at C) for every substitution set C whose
+    localization is not the unit ideal, in (size, lex) order of C."""
+    for size in range(I.nvars + 1):
+        for C in itertools.combinations(range(1, I.nvars + 1), size):
+            loc = localize(I, C)
+            if not loc.is_unit:
+                yield C, loc
 
 
 def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
@@ -313,12 +316,8 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
     a = is_matroidal(I)
     loc12 = {"b": True, "c": True, "d": True, "e": True}
     witnesses: dict = {}
-    subsets = _all_subsets(I.nvars)
 
-    for C in subsets:
-        loc = localize(I, C)
-        if loc.is_unit:
-            continue
+    for C, loc in _localizations(I):
         single = is_single_degree(loc)
         if loc12["e"] and not single:
             loc12["e"] = False
@@ -341,11 +340,7 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
     by_subset_linear: dict[tuple[int, ...], list[bool]] = {}
     by_subset_single: dict[tuple[int, ...], list[bool]] = {}
     for k in range(1, kmax + 1):
-        Ik = power(I, k)
-        for C in subsets:
-            lock = localize(Ik, C)
-            if lock.is_unit:
-                continue
+        for C, lock in _localizations(power(I, k)):
             by_subset_linear.setdefault(C, []).append(has_linear_resolution(lock, char))
             by_subset_single.setdefault(C, []).append(is_single_degree(lock))
 
@@ -390,23 +385,20 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
 def _localization_profile(
     I: MonomialIdeal, char: int, decided: dict[MonomialIdeal, bool]
 ) -> tuple[bool, list | None]:
-    """Whether every proper-subset localization has a linear resolution,
-    plus the first failing substitution set.
+    """Whether every non-unit localization has a linear resolution, plus
+    the first failing substitution set.  Localizing at every variable
+    gives the unit ideal, so these are proper-subset localizations.
 
     ``decided`` maps localizations already decided in this scan to their
     verdicts; new verdicts are added to it.  A ResourceLimitExceeded
     propagates and leaves nothing behind.
     """
-    for size in range(I.nvars):
-        for C in itertools.combinations(range(1, I.nvars + 1), size):
-            loc = localize(I, C)
-            if loc.is_unit:
-                continue
-            linear = decided.get(loc)
-            if linear is None:
-                linear = decided[loc] = has_linear_resolution(loc, char)
-            if not linear:
-                return False, list(C)
+    for C, loc in _localizations(I):
+        linear = decided.get(loc)
+        if linear is None:
+            linear = decided[loc] = has_linear_resolution(loc, char)
+        if not linear:
+            return False, list(C)
     return True, None
 
 
@@ -506,9 +498,7 @@ def _check_localization_golden() -> dict:
 def _check_single_degree_localization_gap(char: int) -> dict:
     I = parse_ideal("x1^2, x1*x2, x3^2, x2*x3", 3)
     pm, wit = is_polymatroidal(I)
-    locs_single = all(
-        is_single_degree(localize(I, C)) for C in _all_subsets(3)
-    )
+    locs_single = all(is_single_degree(loc) for _, loc in _localizations(I))
     linres = has_linear_resolution(I, char)
     ok = (not pm) and locs_single and (not linres)
     return _suite_item(
@@ -566,12 +556,11 @@ def _check_variable_localization_gap(char: int) -> dict:
     single_var = {i: _linear_or_unit(localize(I, [i]), char) for i in range(1, 5)}
     pm, _ = is_polymatroidal(I)
     # the conjecture demands some deeper localization (or I itself) fails
-    deeper_failures = []
-    for size in range(2, 4):
-        for C in itertools.combinations(range(1, 5), size):
-            loc = localize(I, C)
-            if not loc.is_unit and not has_linear_resolution(loc, char):
-                deeper_failures.append(list(C))
+    deeper_failures = [
+        list(C)
+        for C, loc in _localizations(I)
+        if len(C) >= 2 and not has_linear_resolution(loc, char)
+    ]
     ok = linres_I and all(single_var.values()) and not pm and bool(deeper_failures)
     return _suite_item(
         "variable-localization-gap",
@@ -801,11 +790,7 @@ def _check_three_prime_intersection(char: int) -> dict:
         p | q == {1, 2, 3} for p in primes for q in primes if p != q
     )
     triple_empty = set.intersection(*primes) == set()
-    locs_linear = all(
-        has_linear_resolution(localize(I, C), char)
-        for C in _all_subsets(3)
-        if not localize(I, C).is_unit
-    )
+    locs_linear = all(has_linear_resolution(loc, char) for _, loc in _localizations(I))
     ok = (
         is_matroidal(I)
         and not ass.has_embedded

@@ -24,7 +24,6 @@ from .ideal import (
     is_single_degree,
 )
 
-VERDICT_SATISFIED = "satisfied-with-j"
 VERDICT_VIOLATED = "violated"
 
 
@@ -191,13 +190,10 @@ def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from rec((), d, 0)
 
 
-def veronese(params: VeroneseParams, nvars: int | None = None) -> MonomialIdeal:
+def veronese(params: VeroneseParams) -> MonomialIdeal:
     """All degree-d monomials within the exponent caps (already minimal)."""
-    n = params.nvars
-    if nvars is not None and nvars != n:
-        raise ValueError(f"params describe {n} variables, expected {nvars}")
     gens = tuple(Monomial(e) for e in capped_exponents(params.d, params.caps))
-    return MonomialIdeal._raw(n, gens)
+    return MonomialIdeal._raw(params.nvars, gens)
 
 
 def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:
@@ -215,32 +211,23 @@ def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:
     return params if veronese(params) == I else None
 
 
-def is_componentwise_polymatroidal(
-    I: MonomialIdeal, extra_degrees: int = 0
-) -> tuple[bool, int | None]:
+def is_componentwise_polymatroidal(I: MonomialIdeal) -> tuple[bool, int | None]:
     """Every graded component in the generator-degree range is polymatroidal.
 
     Degrees past the top generator degree d satisfy I_<j> = I_<d> * m^(j-d)
-    and follow from product closure; ``extra_degrees`` extends the checked
-    range past d for validating that shortcut rather than assuming it.
+    and follow from product closure.
     """
     _require_proper(I, "predicate")
-    for j in _component_range(I, extra_degrees):
+    for j in range(I.min_degree, I.max_degree + 1):
         if not is_polymatroidal(component(I, j))[0]:
             return False, j
     return True, None
 
 
-def is_componentwise_veronese(
-    I: MonomialIdeal, extra_degrees: int = 0
-) -> tuple[bool, int | None]:
+def is_componentwise_veronese(I: MonomialIdeal) -> tuple[bool, int | None]:
     """Every graded component in the generator-degree range is of Veronese type."""
     _require_proper(I, "predicate")
-    for j in _component_range(I, extra_degrees):
+    for j in range(I.min_degree, I.max_degree + 1):
         if detect_veronese(component(I, j)) is None:
             return False, j
     return True, None
-
-
-def _component_range(I: MonomialIdeal, extra_degrees: int) -> range:
-    return range(I.min_degree, I.max_degree + 1 + extra_degrees)

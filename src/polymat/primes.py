@@ -11,12 +11,12 @@ monomial w with I : w = P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .ideal import (
     Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
-    VarSubset,
     _require_proper,
     colon,
     divisors,
@@ -205,10 +205,11 @@ def associated_primes(
 
 def transversal(
     nvars: int,
-    primes: "list[VarSubset | list[int]]",
+    primes: list[Iterable[int]],
     exponents: list[int],
 ) -> MonomialIdeal:
-    """The product P_1^{a_1} ... P_r^{a_r} of monomial prime ideals."""
+    """The product P_1^{a_1} ... P_r^{a_r} of monomial prime ideals, each
+    prime given by its 1-based variable indices."""
     if len(primes) != len(exponents):
         raise ValueError("primes and exponents differ in length")
     if any(a < 1 for a in exponents):

@@ -18,7 +18,6 @@ O(N*n) per step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -184,15 +183,13 @@ def revlex_greater(u: Monomial, v: Monomial) -> bool:
     return False
 
 
-def _revlex_cmp(u: Monomial, v: Monomial) -> int:
-    if u.exps == v.exps:
-        return 0
-    return 1 if revlex_greater(u, v) else -1
-
-
 def revlex_order(gens: Iterable[Monomial], increasing: bool = False) -> list[Monomial]:
-    """Generators sorted for processing: decreasing revlex by default."""
-    return sorted(gens, key=functools.cmp_to_key(_revlex_cmp), reverse=not increasing)
+    """Generators sorted for processing: decreasing revlex by default.
+
+    u > v in revlex exactly when the reversed exponents of u come first in
+    lex order, so ascending reversed exponents is decreasing revlex.
+    """
+    return sorted(gens, key=lambda m: m.exps[::-1], reverse=increasing)
 
 
 def revlex_lq(

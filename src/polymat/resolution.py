@@ -193,45 +193,41 @@ class SimplicialComplex:
             fs.sort()
         return by_dim
 
-    def boundary_matrix(self, k: int, by_dim=None) -> list[list[int]]:
-        """The boundary map from dimension-k faces to dimension-(k-1) faces."""
-        if by_dim is None:
-            by_dim = self._faces_by_dim()
-        rows_faces = by_dim.get(k - 1, [])
-        cols_faces = by_dim.get(k, [])
-        index = {f: r for r, f in enumerate(rows_faces)}
-        matrix = [[0] * len(cols_faces) for _ in rows_faces]
-        for c, face in enumerate(cols_faces):
-            for t in range(len(face)):
-                sub = face[:t] + face[t + 1:]
-                matrix[index[sub]][c] = -1 if t % 2 else 1
-        return matrix
-
     def reduced_homology_ranks(self, char: int = 0) -> dict[int, int]:
         """Ranks of the reduced homology groups, keyed by dimension.
 
         Dimensions run from -1 (the empty face) upward; the void complex
-        returns an empty mapping.  An Euler-characteristic consistency
-        check guards every computation.
+        returns an empty mapping.  The rank in dimension k is
+        c_k - r_k - r_{k+1} (faces minus the ranks of the boundary maps
+        out of and into dimension k).  The image of d_{k+1} lies in the
+        kernel of d_k, so a negative value means a wrong rank and raises.
         """
         _validate_char(char)
         if self.is_void:
             return {}
         by_dim = self._faces_by_dim()
         maxdim = max(by_dim)
-        counts = {k: len(by_dim.get(k, ())) for k in range(-1, maxdim + 1)}
-        ranks = {k: 0 for k in range(-1, maxdim + 2)}
-        for k in range(0, maxdim + 1):
-            ranks[k] = matrix_rank(self.boundary_matrix(k, by_dim), char)
+        ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(maxdim + 1)}
         homology = {
-            k: counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
+            k: len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             for k in range(-1, maxdim + 1)
         }
-        euler_faces = sum((-1) ** k * c for k, c in counts.items())
-        euler_hom = sum((-1) ** k * h for k, h in homology.items())
-        if euler_faces != euler_hom:
-            raise AssertionError("Euler characteristic mismatch in homology computation")
+        if any(h < 0 for h in homology.values()):
+            raise AssertionError(f"negative homology rank {homology}: a boundary rank is wrong")
         return {k: h for k, h in homology.items() if h}
+
+
+def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[list[int]]:
+    """The boundary map from dimension-k faces to dimension-(k-1) faces."""
+    rows_faces = by_dim.get(k - 1, [])
+    cols_faces = by_dim.get(k, [])
+    index = {f: r for r, f in enumerate(rows_faces)}
+    matrix = [[0] * len(cols_faces) for _ in rows_faces]
+    for c, face in enumerate(cols_faces):
+        for t in range(len(face)):
+            sub = face[:t] + face[t + 1:]
+            matrix[index[sub]][c] = -1 if t % 2 else 1
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +247,6 @@ class BettiTable:
     @property
     def regularity(self) -> int:
         return max(j - i for (i, j) in self.entries)
-
-    @property
-    def max_index(self) -> int:
-        return max(i for (i, _) in self.entries)
 
     def is_linear(self, d: int) -> bool:
         return all(j == i + d for (i, j) in self.entries)

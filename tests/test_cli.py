@@ -295,6 +295,11 @@ class TestErrors:
     def test_variable_out_of_range_exit_2(self, capsys):
         assert run(["colon", "-n", "2", "x3", "x1"]) == 2
 
+    def test_veronese_params_need_colon(self, capsys):
+        code = run(["extend-veronese", "--from-params", "2;1,2", "--to-params", "3:3,3"])
+        assert code == 2
+        assert "bad Veronese parameters '2;1,2'" in capsys.readouterr().err
+
     def test_unknown_verb_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -1,6 +1,8 @@
 """Core monomial-ideal arithmetic: parsing, minimalization, colon,
 saturation, localization, combinations, components."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,6 @@ from polymat.ideal import (
     is_single_degree,
     localize,
     maximal_ideal,
-    minimalize,
     monomials_of_degree,
     parse_ideal,
     parse_generators,
@@ -116,16 +117,16 @@ class TestCanonicalForm:
 
 
 # ---------------------------------------------------------------------------
-# minimalize
+# minimalization
 # ---------------------------------------------------------------------------
 
 class TestMinimalize:
     def test_divisor_pruning(self):
         gens = [M("x1*x2", 2), M("x1^2*x2", 2), M("x2^3", 2)]
-        assert minimalize(gens) == I("x1*x2, x2^3", 2)
+        assert MonomialIdeal(2, gens) == I("x1*x2, x2^3", 2)
 
     def test_unit_swallows_everything(self):
-        assert minimalize([M("1", 2), M("x1", 2)]).is_unit
+        assert MonomialIdeal(2, [M("1", 2), M("x1", 2)]).is_unit
 
     def test_antichain_untouched(self):
         ideal = I("x1*x3^2, x1^2*x3, x1*x2*x3, x2^2*x3", 3)
@@ -133,7 +134,7 @@ class TestMinimalize:
 
     def test_mixed_nvars_rejected(self):
         with pytest.raises(ValueError):
-            minimalize([M("x1", 2), M("x1", 3)])
+            MonomialIdeal(2, [M("x1", 2), M("x1", 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,17 @@ class TestLocalize:
             ideal = I(text, n)
             xc = M("*".join(f"x{i}" for i in C), n)
             assert localize(ideal, C) == saturate(ideal, xc)
+
+    def test_indices_any_iterable_and_checked(self):
+        ideal = I("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6)
+        for C in ({3, 4}, (4, 3), range(3, 5), (i for i in [3, 4])):
+            assert localize(ideal, C) == I("x2, x5*x6", 6)
+        for bad, shown in (([0], "[0]"), ([7, 2, 9], "[7, 9]")):
+            message = f"variable indices {shown} out of range 1..6"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                localize(ideal, bad)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                prime_ideal(6, bad)
 
     def test_squarefree_localization_is_plain_colon(self):
         ideal = I("x1*x2, x2*x3, x3*x4", 4)

@@ -12,6 +12,7 @@ from polymat.ideal import (
     ZeroIdealError,
     capped_divisors,
     colon,
+    component,
     ideal_product,
     maximal_ideal,
     monomials_of_degree,
@@ -209,10 +210,6 @@ class TestVeronese:
                 ideal = veronese(VeroneseParams(d, caps))
                 assert is_polymatroidal(ideal)[0], (d, caps)
 
-    def test_nvars_validation(self):
-        with pytest.raises(ValueError):
-            veronese(VeroneseParams(2, (1, 1)), nvars=3)
-
 
 class TestDetectVeronese:
     def test_triangle(self):
@@ -256,10 +253,14 @@ class TestComponentwise:
             ("x1*x2, x1*x3, x2*x3", 3),
             ("x1, x2^3", 2),
             ("x1^2, x2^2*x3, x1*x2*x3, x1*x2^2, x1*x3^3, x2*x3^3", 3),
+            ("x1*x2, x1*x3^2, x2*x3^2", 3),
         ]:
-            base = is_componentwise_polymatroidal(I(text, n))
-            extended = is_componentwise_polymatroidal(I(text, n), extra_degrees=2)
-            assert base[0] == extended[0]
+            ideal = I(text, n)
+            extended = all(
+                is_polymatroidal(component(ideal, j))[0]
+                for j in range(ideal.min_degree, ideal.max_degree + 3)
+            )
+            assert extended == is_componentwise_polymatroidal(ideal)[0]
 
     def test_componentwise_veronese_cases(self):
         assert is_componentwise_veronese(I("x1^2, x1*x2, x2^2, x1^3", 2))[0]

@@ -10,7 +10,6 @@ from polymat.ideal import (
     colon,
     divisors,
     ideal_intersection,
-    minimalize,
     parse_ideal,
     power,
     prime_ideal,
@@ -140,8 +139,8 @@ class TestAssociatedPrimes:
             ("x1^2, x1*x2^2, x2^4", 2),
         ]:
             ideal = I(text, n)
-            radical = minimalize(
-                [Monomial(tuple(1 if e else 0 for e in g.exps)) for g in ideal.gens], n
+            radical = MonomialIdeal(
+                n, [Monomial(tuple(1 if e else 0 for e in g.exps)) for g in ideal.gens]
             )
             assert set(associated_primes(ideal).minimal) == set(
                 associated_primes(radical).minimal

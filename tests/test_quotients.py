@@ -13,6 +13,7 @@ from polymat.ideal import (
     colon,
     ideal_product,
     maximal_ideal,
+    monomials_of_degree,
     parse_generators,
     parse_ideal,
     power,
@@ -354,3 +355,20 @@ def test_check_order_matches_primitive_oracle(case):
     for k, v in enumerate(order):
         current = MonomialIdeal(base.nvars, base.gens + tuple(order[:k]))
         assert cert.steps[k] == _colon_variables(current, v)
+
+
+@st.composite
+def single_degree_sets(draw):
+    """Distinct monomials of one degree, in drawn order."""
+    n = draw(st.integers(1, 5))
+    pool = list(monomials_of_degree(n, draw(st.integers(1, 3))))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_degree_sets())
+def test_revlex_order_matches_pairwise_definition(gens):
+    order = revlex_order(gens)
+    assert sorted(order) == sorted(gens)
+    assert all(revlex_greater(u, v) for u, v in zip(order, order[1:]))
+    assert revlex_order(gens, increasing=True) == order[::-1]

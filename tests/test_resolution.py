@@ -19,6 +19,7 @@ from polymat.ideal import (
     parse_ideal,
     power,
 )
+from polymat import resolution
 from polymat.lab import IdealSpace, space_ideals
 from polymat.resolution import (
     SimplicialComplex,
@@ -204,6 +205,16 @@ class TestBettiTable:
             for j, count in t.gendegrees.items():
                 assert t.rank(0, j) == count
             assert sum(r for (i, j), r in t.entries.items() if i == 0) == len(ideal.gens)
+
+    def test_wrong_boundary_rank_raises(self, monkeypatch):
+        # a rank one too high makes some c_k - r_k - r_{k+1} negative; the
+        # alternating sums of faces and homology would still agree
+        true_rank = resolution.matrix_rank
+        monkeypatch.setattr(
+            resolution, "matrix_rank", lambda rows, char: true_rank(rows, char) + 1
+        )
+        with pytest.raises(AssertionError):
+            betti_table(I("x1*x2, x2*x3, x3*x4, x4*x1", 4))
 
     def test_zero_unit_rejected(self):
         with pytest.raises(ZeroIdealError):
