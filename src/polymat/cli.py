@@ -17,6 +17,7 @@ from . import __version__
 from .ideal import (
     IdealSyntaxError,
     ResourceLimitExceeded,
+    _variable_indices,
     colon,
     combine,
     component,
@@ -208,7 +209,7 @@ def _predicate(args) -> int:
 
 
 def _budget_kw(args) -> dict:
-    return {"budget": args.budget} if args.budget else {}
+    return {"budget": args.budget} if args.budget is not None else {}
 
 
 def _run_lq(args) -> int:
@@ -226,7 +227,7 @@ def _run_lq(args) -> int:
             )
     elif args.mode == "find":
         gens = parse_ideal(args.generators, n).gens
-        kw = {"max_gens": args.budget} if args.budget else {}
+        kw = {"max_gens": args.budget} if args.budget is not None else {}
         cert = find_lq_order(base, gens, **kw)
         if cert is None:
             return _emit(
@@ -288,7 +289,7 @@ def _dispatch(args) -> int:
         if args.ones is not None:
             C = [int(x) for x in args.ones.split(",") if x]
         else:
-            keep = {int(x) for x in args.prime.split(",") if x}
+            keep = _variable_indices((int(x) for x in args.prime.split(",") if x), args.nvars)
             C = [i for i in range(1, args.nvars + 1) if i not in keep]
         result = localize(I, C)
         return _emit(
@@ -372,7 +373,7 @@ def _dispatch(args) -> int:
             samples=args.samples,
             seed=args.seed,
         )
-        kw = {"enum_budget": args.budget} if args.budget else {}
+        kw = {"enum_budget": args.budget} if args.budget is not None else {}
         report = scan_conjecture(space, args.char, **kw)
         summary = report.summary
         lines = [

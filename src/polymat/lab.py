@@ -297,8 +297,11 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
 
 def _localizations(I: MonomialIdeal) -> Iterator[tuple[tuple[int, ...], MonomialIdeal]]:
     """(C, I localized at C) for every substitution set C whose
-    localization is not the unit ideal, in (size, lex) order of C."""
-    for size in range(I.nvars + 1):
+    localization is not the unit ideal, in (size, lex) order of C.
+
+    I must be nonzero: then localizing at every variable gives the unit
+    ideal, so C runs over the proper subsets only."""
+    for size in range(I.nvars):
         for C in itertools.combinations(range(1, I.nvars + 1), size):
             loc = localize(I, C)
             if not loc.is_unit:

@@ -8,18 +8,18 @@ the (i-1)-st reduced homology of the upper Koszul complex
 over the chosen prime field contributes to beta_{i, deg b}.  K^b is read
 straight from the minimal generators: each generator g dividing x^b
 gives the facet {i : g_i < b_i}.  A K^b whose maximal faces share a
-vertex is a cone, has no reduced homology and is skipped.  Ranks come
-from boundary-matrix ranks computed exactly: fraction-free integer
-elimination in characteristic 0, modular elimination at a prime.
-``has_linear_resolution`` stops at the first multidegree with homology
-off the linear strand.
+vertex is a cone, has no reduced homology and is skipped; any other is
+expanded once from its maximal faces.  Boundary ranks are exact:
+fraction-free integer elimination in characteristic 0, modular
+elimination at a prime.  ``has_linear_resolution`` and
+``has_linear_relations`` stop at the first multidegree off their strand.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ideal import (
     MonomialIdeal,
@@ -140,38 +140,18 @@ def matrix_rank(rows: list[list[int]], char: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SimplicialComplex:
-    """An abstract simplicial complex on vertices 0..nverts-1.
+    """An abstract simplicial complex, stored by its maximal faces.
 
-    Stored by its maximal faces; the full (subset-closed) face list is
-    produced on demand.  A complex with no faces at all is void; the
-    complex whose only face is the empty set is allowed and has reduced
-    homology of rank 1 in dimension -1.
+    A complex with no faces at all is void; the complex whose only face
+    is the empty set is allowed and has reduced homology of rank 1 in
+    dimension -1.
     """
 
-    __slots__ = ("nverts", "maximal_faces", "_faces")
+    __slots__ = ("maximal_faces",)
 
-    def __init__(self, nverts: int, faces: "list[frozenset[int]] | set[frozenset[int]]"):
-        self.nverts = nverts
+    def __init__(self, faces: "list[frozenset[int]] | set[frozenset[int]]"):
         faces = {frozenset(f) for f in faces}
-        maximal = [
-            f for f in faces if not any(f < g for g in faces)
-        ]
-        self.maximal_faces = tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
-        self._faces = None
-
-    def all_faces(self) -> set[frozenset[int]]:
-        """Subset closure of the maximal faces (includes the empty face)."""
-        if self._faces is None:
-            closed: set[frozenset[int]] = set()
-            for f in self.maximal_faces:
-                if f in closed:
-                    continue
-                elems = sorted(f)
-                # all subsets of f
-                for mask in range(1 << len(elems)):
-                    closed.add(frozenset(elems[k] for k in range(len(elems)) if mask >> k & 1))
-            self._faces = closed
-        return self._faces
+        self.maximal_faces = [f for f in faces if not any(f < g for g in faces)]
 
     @property
     def is_void(self) -> bool:
@@ -185,13 +165,15 @@ class SimplicialComplex:
             return False
         return bool(frozenset.intersection(*self.maximal_faces))
 
-    def _faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for f in self.all_faces():
-            by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-        for fs in by_dim.values():
-            fs.sort()
-        return by_dim
+    def faces(self) -> dict[int, list[tuple[int, ...]]]:
+        """Every face as a sorted tuple, grouped by dimension and sorted;
+        the empty face has dimension -1."""
+        by_dim: dict[int, set[tuple[int, ...]]] = {}
+        for f in self.maximal_faces:
+            vertices = sorted(f)
+            for k in range(len(vertices) + 1):
+                by_dim.setdefault(k - 1, set()).update(itertools.combinations(vertices, k))
+        return {k: sorted(fs) for k, fs in by_dim.items()}
 
     def reduced_homology_ranks(self, char: int = 0) -> dict[int, int]:
         """Ranks of the reduced homology groups, keyed by dimension.
@@ -205,7 +187,7 @@ class SimplicialComplex:
         _validate_char(char)
         if self.is_void:
             return {}
-        by_dim = self._faces_by_dim()
+        by_dim = self.faces()
         maxdim = max(by_dim)
         ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(maxdim + 1)}
         homology = {
@@ -239,7 +221,6 @@ class BettiTable:
     """Graded Betti numbers beta_{i,j} of an ideal (beta_0 counts generators)."""
 
     entries: dict[tuple[int, int], int]
-    gendegrees: Counter = field(default_factory=Counter)
 
     def rank(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -263,27 +244,18 @@ class BettiTable:
 
 
 def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_LATTICE_BUDGET) -> list[tuple[int, ...]]:
-    """All joins (componentwise max) of nonempty generator subsets.
+    """All joins (componentwise max) of nonempty generator subsets, by
+    (degree, b), in one pass over the generators: L <- L | {b v g : b in L} | {g}.
 
-    Raises ResourceLimitExceeded when the closure grows past the budget,
-    so a scan can never silently stall on a blown-up lattice.
+    Raises ResourceLimitExceeded once there are more than ``budget`` points,
+    checked after each generator, so the set never exceeds 2 * budget + 1.
     """
-    gens = [g.exps for g in I.gens]
-    lattice: set[tuple[int, ...]] = set(gens)
-    frontier = list(lattice)
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for b in frontier:
-            for g in gens:
-                j = tuple(max(x, y) for x, y in zip(b, g))
-                if j not in lattice:
-                    lattice.add(j)
-                    new.append(j)
-                    if len(lattice) > budget:
-                        raise ResourceLimitExceeded(
-                            f"lcm lattice exceeds budget of {budget} multidegrees"
-                        )
-        frontier = new
+    lattice: set[tuple[int, ...]] = set()
+    for g in I.gens:
+        lattice |= {tuple(map(max, b, g.exps)) for b in lattice}
+        lattice.add(g.exps)
+        if len(lattice) > budget:
+            raise ResourceLimitExceeded(f"lcm lattice exceeds budget of {budget} multidegrees")
     return sorted(lattice, key=lambda b: (sum(b), b))
 
 
@@ -302,7 +274,7 @@ def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComp
         exps = g.exps
         if all(x <= y for x, y in zip(exps, b)):
             facets.append(frozenset(k for k, i in enumerate(supp) if exps[i] < b[i]))
-    return SimplicialComplex(len(supp), facets)
+    return SimplicialComplex(facets)
 
 
 def _lattice_homology(
@@ -327,7 +299,7 @@ def betti_table(
         for dim, h in homology.items():
             key = (dim + 1, j)
             entries[key] = entries.get(key, 0) + h
-    return BettiTable(entries, Counter(g.degree for g in I.gens))
+    return BettiTable(entries)
 
 
 def has_linear_resolution(
@@ -351,13 +323,14 @@ def has_linear_resolution(
 def has_linear_relations(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
-    """First syzygies all linear: beta_{1,j} = 0 for j != d + 1."""
+    """beta_{1,j} = 0 for j != d + 1; stops at the first beta_1 off that strand."""
     _require_proper(I, "Betti numbers")
     if not is_single_degree(I):
         raise ValueError("linear relations are defined for equigenerated ideals")
     d = I.gens[0].degree
-    table = betti_table(I, char, budget)
-    return all(j == d + 1 for (i, j) in table.entries if i == 1)
+    return all(
+        j == d + 1 for j, homology in _lattice_homology(I, char, budget) if 0 in homology
+    )
 
 
 def is_componentwise_linear(

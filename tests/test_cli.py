@@ -308,6 +308,20 @@ class TestErrors:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_budget_zero_is_honoured(self, capsys):
+        for argv in (
+            ["betti", "-n", "3", "x1*x2, x2*x3, x1*x3"],
+            ["lq", "find", "-n", "3", "x1*x2, x1*x3, x2*x3"],
+            ["scan", "--nvars", "2", "--maxdeg", "2", "--maxgens", "3"],
+        ):
+            assert run(argv + ["--budget", "0"]) == 3, argv
+            assert "budget" in capsys.readouterr().err
+
+    def test_localize_prime_out_of_range_exit_2(self, capsys):
+        for prime in ("9", "0,1"):
+            assert run(["localize", "-n", "3", "--prime", prime, "x1*x2"]) == 2
+            assert "out of range 1..3" in capsys.readouterr().err
+
     def test_large_prime_characteristic(self, capsys):
         assert run(["betti", "--char", "9223372036854775783", "-n", "2", "x1, x2"]) == 0
 

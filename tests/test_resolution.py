@@ -2,6 +2,8 @@
 independent Taylor-complex oracle, plus the linearity predicates."""
 
 import fractions
+import itertools
+from collections import Counter
 import random
 import time
 
@@ -127,40 +129,40 @@ class TestCharacteristic:
 
 class TestSimplicialComplex:
     def test_void_complex(self):
-        cx = SimplicialComplex(3, [])
+        cx = SimplicialComplex([])
         assert cx.is_void
         assert cx.reduced_homology_ranks() == {}
 
     def test_empty_face_only(self):
-        cx = SimplicialComplex(3, [frozenset()])
+        cx = SimplicialComplex([frozenset()])
         assert cx.reduced_homology_ranks() == {-1: 1}
 
     def test_two_points(self):
-        cx = SimplicialComplex(2, [frozenset({0}), frozenset({1})])
+        cx = SimplicialComplex([frozenset({0}), frozenset({1})])
         assert cx.reduced_homology_ranks() == {0: 1}
 
     def test_closure_from_maximal(self):
-        cx = SimplicialComplex(3, [frozenset({0, 1, 2})])
-        assert len(cx.all_faces()) == 8
+        cx = SimplicialComplex([frozenset({0, 1, 2})])
+        assert sum(len(fs) for fs in cx.faces().values()) == 8
         assert cx.reduced_homology_ranks() == {}
 
     def test_hollow_triangle_is_circle(self):
-        cx = SimplicialComplex(3, [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+        cx = SimplicialComplex([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
         assert cx.reduced_homology_ranks() == {1: 1}
 
     def test_cone_has_no_homology(self):
         # maximal faces {0,1} and {0,2} share vertex 0; the extra facet
         # {2} is not maximal and would hide the cone if it were counted
-        cx = SimplicialComplex(3, [frozenset({0, 1}), frozenset({0, 2}), frozenset({2})])
+        cx = SimplicialComplex([frozenset({0, 1}), frozenset({0, 2}), frozenset({2})])
         assert not cx.is_void
         assert cx.is_cone
         for char in (0, 2):
             assert cx.reduced_homology_ranks(char) == {}
 
     def test_not_cones(self):
-        assert not SimplicialComplex(3, []).is_cone
-        assert not SimplicialComplex(3, [frozenset()]).is_cone
-        hollow = SimplicialComplex(3, [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+        assert not SimplicialComplex([]).is_cone
+        assert not SimplicialComplex([frozenset()]).is_cone
+        hollow = SimplicialComplex([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
         assert not hollow.is_cone
 
     def test_projective_plane_char_dependence(self):
@@ -171,7 +173,7 @@ class TestSimplicialComplex:
                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
             ]
         ]
-        cx = SimplicialComplex(6, faces)
+        cx = SimplicialComplex(faces)
         assert cx.reduced_homology_ranks(0) == {}
         assert cx.reduced_homology_ranks(2) == {1: 1, 2: 1}
 
@@ -202,7 +204,7 @@ class TestBettiTable:
         ]:
             ideal = I(text, n)
             t = betti_table(ideal)
-            for j, count in t.gendegrees.items():
+            for j, count in Counter(g.degree for g in ideal.gens).items():
                 assert t.rank(0, j) == count
             assert sum(r for (i, j), r in t.entries.items() if i == 0) == len(ideal.gens)
 
@@ -258,16 +260,22 @@ class TestUpperKoszulFromGenerators:
         for ideal in exhaustive_space_ideals(3, 3, 4):
             for b in lcm_lattice(ideal):
                 cx = upper_koszul_complex(ideal, b)
-                assert cx.all_faces() == upper_koszul_faces(ideal, b), (str(ideal), b)
+                faces = {frozenset(f) for fs in cx.faces().values() for f in fs}
+                assert faces == upper_koszul_faces(ideal, b), (str(ideal), b)
                 points += 1
         assert points == 10377
 
     def test_early_exit_agrees_with_full_table(self):
         for ideal in exhaustive_space_ideals(3, 3, 4):
             d = ideal.gens[0].degree
+            single = is_single_degree(ideal)
             for char in (0, 2):
-                expected = is_single_degree(ideal) and betti_table(ideal, char).is_linear(d)
+                table = betti_table(ideal, char)
+                expected = single and table.is_linear(d)
                 assert has_linear_resolution(ideal, char) == expected, (str(ideal), char)
+                if single:
+                    relations = all(j == d + 1 for (i, j) in table.entries if i == 1)
+                    assert has_linear_relations(ideal, char) == relations, (str(ideal), char)
 
 
 class TestTaylorOracleAgreement:
@@ -369,3 +377,23 @@ def test_betti_matches_taylor_property(gens):
     if ideal.is_zero or ideal.is_unit:
         return
     assert betti_table(ideal).entries == taylor_betti(ideal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(monomials(n).filter(lambda m: 0 < m.degree), min_size=1, max_size=6)
+    )
+)
+def test_lcm_lattice_is_every_subset_join(gens):
+    ideal = MonomialIdeal(len(gens[0].exps), gens)
+    joins = {
+        tuple(max(column) for column in zip(*(g.exps for g in subset)))
+        for k in range(1, len(ideal.gens) + 1)
+        for subset in itertools.combinations(ideal.gens, k)
+    }
+    lattice = lcm_lattice(ideal)
+    assert lattice == sorted(joins, key=lambda b: (sum(b), b))
+    assert lcm_lattice(ideal, budget=len(lattice)) == lattice
+    with pytest.raises(ResourceLimitExceeded):
+        lcm_lattice(ideal, budget=len(lattice) - 1)
