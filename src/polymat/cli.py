@@ -81,15 +81,19 @@ def _emit(args, payload: dict, text_lines: list[str], code: int) -> int:
     return code
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--char", type=int, default=0, help="field characteristic (0 or a prime below 2^64)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled scans")
-    common.add_argument("--budget", type=int, default=None, help="resource budget override")
-    common.add_argument("--json", action="store_true", help="emit one JSON object")
+def _option(*names: str, **kw) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kw)
+    return parent
 
-    nv = argparse.ArgumentParser(add_help=False)
-    nv.add_argument("-n", "--nvars", type=int, required=True, help="number of variables (x1..xn)")
+
+def _build_parser() -> argparse.ArgumentParser:
+    # each verb takes only the options it reads
+    js = _option("--json", action="store_true", help="emit one JSON object")
+    char = _option("--char", type=int, default=0, help="field characteristic (0 or a prime below 2^64)")
+    seed = _option("--seed", type=int, default=0, help="RNG seed for sampled scans")
+    budget = _option("--budget", type=int, help="cap on lattice points, lq find generators or scan subsets")
+    nv = _option("-n", "--nvars", type=int, required=True, help="number of variables (x1..xn)")
 
     parser = argparse.ArgumentParser(
         prog="polymat",
@@ -98,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polymat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common, nv], help="run a predicate on an ideal")
+    p = sub.add_parser("check", parents=[js, char, budget, nv], help="run a predicate on an ideal")
     p.add_argument(
         "property",
         choices=[
@@ -116,52 +120,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("ideal")
 
-    for verb, extra in (("colon", "monomial"), ("saturate", "monomial")):
-        p = sub.add_parser(verb, parents=[common, nv])
+    for verb in ("colon", "saturate"):
+        p = sub.add_parser(verb, parents=[js, nv])
         p.add_argument("ideal")
-        p.add_argument(extra)
+        p.add_argument("monomial")
 
-    p = sub.add_parser("localize", parents=[common, nv])
+    p = sub.add_parser("localize", parents=[js, nv])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ones", help="comma list of variables substituted by 1")
     group.add_argument("--prime", help="comma list of the prime's variables (complement kept)")
     p.add_argument("ideal")
 
-    p = sub.add_parser("combine", parents=[common, nv])
+    p = sub.add_parser("combine", parents=[js, nv])
     p.add_argument("op", choices=["sum", "product", "intersect"])
     p.add_argument("ideal")
     p.add_argument("other")
 
-    p = sub.add_parser("power", parents=[common, nv])
+    p = sub.add_parser("power", parents=[js, nv])
     p.add_argument("-k", type=int, required=True)
     p.add_argument("ideal")
 
-    p = sub.add_parser("component", parents=[common, nv])
+    p = sub.add_parser("component", parents=[js, nv])
     p.add_argument("-j", type=int, required=True)
     p.add_argument("ideal")
 
-    for verb in ("betti", "ass", "irrdecomp", "equiv"):
-        p = sub.add_parser(verb, parents=[common, nv])
+    for verb, options in (("betti", [char, budget]), ("ass", []), ("irrdecomp", []), ("equiv", [char])):
+        p = sub.add_parser(verb, parents=[js, *options, nv])
         p.add_argument("ideal")
 
-    p = sub.add_parser("lq", parents=[common, nv])
+    p = sub.add_parser("lq", parents=[js, budget, nv])
     p.add_argument("mode", choices=["check", "find", "revlex"])
     p.add_argument("--base", default="", help="base ideal extended by the generators")
     p.add_argument("--increasing", action="store_true", help="process revlex increasing")
     p.add_argument("generators", help="ideal text; order is significant for 'check'")
 
-    p = sub.add_parser("extend-veronese", parents=[common])
+    p = sub.add_parser("extend-veronese", parents=[js])
     p.add_argument("--from-params", required=True, metavar="D:A1,A2,...")
     p.add_argument("--to-params", required=True, metavar="D:B1,B2,...")
 
-    p = sub.add_parser("scan", parents=[common])
+    p = sub.add_parser("scan", parents=[js, char, budget, seed])
     p.add_argument("--nvars", type=int, required=True)
     p.add_argument("--maxdeg", type=int, required=True)
     p.add_argument("--maxgens", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--samples", type=int, default=0)
 
-    sub.add_parser("suite", parents=[common])
+    sub.add_parser("suite", parents=[js, char])
     return parser
 
 
@@ -280,7 +284,7 @@ def _dispatch(args) -> int:
 
     if cmd in ("colon", "saturate"):
         I = parse_ideal(args.ideal, args.nvars)
-        u = parse_monomial(getattr(args, "monomial"), args.nvars)
+        u = parse_monomial(args.monomial, args.nvars)
         result = colon(I, u) if cmd == "colon" else saturate(I, u)
         return _emit(args, {"ideal": str(result)}, [str(result)], EXIT_TRUE)
 

@@ -13,7 +13,7 @@ text grammar ``x1*x3^2, x2^2``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class ResourceLimitExceeded(Exception):
@@ -400,8 +400,8 @@ def component(I: MonomialIdeal, j: int) -> MonomialIdeal:
         rest = j - g.degree
         if rest < 0:
             continue
-        for w in monomials_of_degree(I.nvars, rest):
-            seen.add(tuple(a + b for a, b in zip(g.exps, w.exps)))
+        for w in capped_exponents(rest, (rest,) * I.nvars):
+            seen.add(tuple(a + b for a, b in zip(g.exps, w)))
     gens = tuple(Monomial(e) for e in sorted(seen))
     return MonomialIdeal._raw(I.nvars, gens)
 
@@ -458,23 +458,28 @@ def _require_proper(I: MonomialIdeal, what: str) -> None:
 # enumeration helpers
 # ---------------------------------------------------------------------------
 
-def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
-    """All monomials of total degree d, in canonical (lex ascending) order."""
-    if d < 0:
-        return
-    if nvars == 1:
-        yield Monomial((d,))
-        return
+def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Exponent vectors of total degree d with e_i <= caps[i], lex ascending."""
+    n = len(caps)
+    # room[i]: the most degree that positions i.. can still take
+    room = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
 
     def rec(prefix: tuple[int, ...], remaining: int, pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == nvars - 1:
+        if pos == n - 1:
             yield prefix + (remaining,)
             return
-        for e in range(remaining + 1):
+        for e in range(max(0, remaining - room[pos + 1]), min(caps[pos], remaining) + 1):
             yield from rec(prefix + (e,), remaining - e, pos + 1)
 
-    for exps in rec((), d, 0):
-        yield Monomial(exps)
+    if n and 0 <= d <= room[0]:
+        yield from rec((), d, 0)
+
+
+def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
+    """All monomials of total degree d, in canonical (lex ascending) order."""
+    return (Monomial(e) for e in capped_exponents(d, (d,) * nvars))
 
 
 def divisors(m: Monomial) -> Iterator[Monomial]:

@@ -22,6 +22,7 @@ from .ideal import (
     Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
+    _require_proper,
     capped_divisors,
     colon,
     colon_by_ideal,
@@ -193,16 +194,18 @@ class EquivalenceRecord:
     """Verdicts for the five equivalent colon conditions on one ideal.
 
     a: polymatroidal; over all capped divisors u: b: every colon
-    polymatroidal, c: single degree with reverse-lex linear quotients,
-    d: linear resolution, e: single degree.  A disagreement that
-    survives the reverse-lex convention fallback is a violation.
+    polymatroidal, c: single degree with linear quotients in decreasing
+    reverse lex, d: linear resolution, e: single degree.  Any
+    disagreement is a violation.  There is no fallback to the increasing
+    convention: a polymatroidal colon has linear quotients in decreasing
+    reverse lex (Herzog-Takayama), so b implies c.  ``to_json`` keeps
+    ``convention_sensitive`` (always false) for the report schema.
     """
 
     ideal: MonomialIdeal
     char: int
     conditions: dict
     witnesses: dict
-    convention_sensitive: bool
     violation: bool
 
     def to_json(self) -> dict:
@@ -212,14 +215,13 @@ class EquivalenceRecord:
             "char": self.char,
             "conditions": dict(self.conditions),
             "witnesses": dict(self.witnesses),
-            "convention_sensitive": self.convention_sensitive,
+            "convention_sensitive": False,
             "violation": self.violation,
         }
 
 
 def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
-    if I.is_zero or I.is_unit:
-        raise ValueError("equivalence check needs a nonzero, non-unit ideal")
+    _require_proper(I, "equivalence check")
 
     ok_a, wit_a = is_polymatroidal(I)
     conditions = {"a": ok_a, "b": True, "c": True, "d": True, "e": True}
@@ -227,16 +229,15 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
     if not ok_a:
         witnesses["a"] = wit_a.to_json() if wit_a else {"reason": "not single degree"}
 
-    # each distinct non-unit colon once, with the first u that produced it:
+    # each distinct non-unit colon once, at the first u that produced it:
     # a repeat has the verdicts of its first occurrence, so the first
     # failing u of every condition is unchanged
-    colons: dict[MonomialIdeal, Monomial] = {}
-    failing_c: list[Monomial] = []
+    colons: set[MonomialIdeal] = set()
     for u in capped_divisors(I):
         J = colon(I, u)
         if J.is_unit or J in colons:
             continue  # the whole ring passes every condition; a repeat is decided
-        colons[J] = u
+        colons.add(J)
         single = is_single_degree(J)
         if conditions["e"] and not single:
             conditions["e"] = False
@@ -249,36 +250,14 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
                     "u": str(u),
                     "witness": wit_b.to_json() if wit_b else "not single degree",
                 }
-        if conditions["c"]:
-            if not single or revlex_lq(J) is None:
-                conditions["c"] = False
-                witnesses["c"] = {"u": str(u), "convention": "decreasing"}
-                failing_c = [u]
+        if conditions["c"] and (not single or revlex_lq(J) is None):
+            conditions["c"] = False
+            witnesses["c"] = {"u": str(u), "convention": "decreasing"}
         if conditions["d"] and not has_linear_resolution(J, char):
             conditions["d"] = False
             witnesses["d"] = {"u": str(u)}
         if not any(conditions[k] for k in "bcde"):
-            break  # every verdict and witness is settled; no retry follows
-
-    convention_sensitive = False
-    others = [conditions[k] for k in ("a", "b", "d", "e")]
-    if conditions["c"] != all(others) and all(others):
-        # decreasing revlex failed although the ideal looks polymatroidal:
-        # retry the opposite processing convention on every distinct colon
-        # (b, d and e held throughout, so the scan above saw them all)
-        retry_ok = True
-        for J, u in colons.items():
-            if not is_single_degree(J) or revlex_lq(J, increasing=True) is None:
-                retry_ok = False
-                witnesses["c"] = {"u": str(u), "convention": "both"}
-                break
-        if retry_ok:
-            conditions["c"] = True
-            convention_sensitive = True
-            witnesses["c"] = {
-                "u": str(failing_c[0]) if failing_c else None,
-                "convention": "increasing-only",
-            }
+            break  # every verdict and witness is settled
 
     values = {conditions[k] for k in CONDITION_KEYS}
     return EquivalenceRecord(
@@ -286,7 +265,6 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
         char=char,
         conditions=conditions,
         witnesses=witnesses,
-        convention_sensitive=convention_sensitive,
         violation=len(values) > 1,
     )
 
@@ -311,8 +289,7 @@ def _localizations(I: MonomialIdeal) -> Iterator[tuple[tuple[int, ...], Monomial
 def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
     """Check the matroidal localization equivalences plus the bounded
     power versions; all conditions must agree with is_matroidal."""
-    if I.is_zero or I.is_unit:
-        raise ValueError("squarefree check needs a nonzero, non-unit ideal")
+    _require_proper(I, "squarefree check")
     if not I.is_squarefree:
         raise ValueError("ideal is not squarefree")
 
@@ -354,7 +331,7 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
         "e": all(all(v) for v in by_subset_single.values()),
     }
     for key, val in cor13.items():
-        if val != a and f"cor13.{key}" not in witnesses:
+        if val != a:
             bad = {
                 "b": by_subset_linear,
                 "c": by_subset_linear,

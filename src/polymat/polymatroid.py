@@ -14,12 +14,13 @@ witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .ideal import (
     Monomial,
     MonomialIdeal,
     _require_proper,
+    capped_exponents,
     component,
     is_single_degree,
 )
@@ -169,25 +170,6 @@ def has_nonpure_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None
     )
     witness = _exchange_violation(I, pairs, every_j=False)
     return witness is None, witness
-
-
-def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors of total degree d with e_i <= caps[i], lex ascending."""
-    n = len(caps)
-    # room[i]: the most degree that positions i.. can still take
-    room = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        room[i] = room[i + 1] + caps[i]
-
-    def rec(prefix: tuple[int, ...], remaining: int, pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n - 1:
-            yield prefix + (remaining,)
-            return
-        for e in range(max(0, remaining - room[pos + 1]), min(caps[pos], remaining) + 1):
-            yield from rec(prefix + (e,), remaining - e, pos + 1)
-
-    if n and 0 <= d <= room[0]:
-        yield from rec((), d, 0)
 
 
 def veronese(params: VeroneseParams) -> MonomialIdeal:

@@ -18,8 +18,8 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     _require_proper,
+    capped_divisors,
     colon,
-    divisors,
     ideal_product,
     power,
     prime_ideal,
@@ -144,40 +144,37 @@ def _within(inner: IrreducibleComponent, outer: IrreducibleComponent) -> bool:
     return all(i in a and a[i] <= b for i, b in inner.powers)
 
 
-def associated_primes(
-    I: MonomialIdeal, witness_budget: int = DEFAULT_WITNESS_BUDGET
-) -> AssociatedPrimes:
+def associated_primes(I: MonomialIdeal) -> AssociatedPrimes:
     """Associated primes of S/I, each validated by a witness monomial.
 
     Candidates are the radicals of the irredundant irreducible
     components; a witness with I : w = P is searched among the divisors
     of lcm(G(I)), which suffice because a colon only sees exponents up to
-    the lcm.  A candidate without a witness is reported as an error,
-    never dropped silently.
+    the lcm; more than DEFAULT_WITNESS_BUDGET of them raise.  A candidate
+    without a witness is reported as an error, never dropped silently.
     """
     _require_proper(I, "decomposition")
     candidates = sorted(
         {c.radical for c in irreducible_decomposition(I)},
         key=lambda p: (len(p), sorted(p)),
     )
-    top = I.lcm_gens()
     search_size = 1
-    for e in top.exps:
+    for e in I.lcm_gens().exps:
         search_size *= e + 1
-    if search_size > witness_budget:
+    if search_size > DEFAULT_WITNESS_BUDGET:
         raise ResourceLimitExceeded(
             f"witness search over {search_size} divisors exceeds budget "
-            f"{witness_budget}; unvalidated candidates: "
+            f"{DEFAULT_WITNESS_BUDGET}; unvalidated candidates: "
             + "; ".join("{" + ",".join(map(str, sorted(p))) + "}" for p in candidates)
         )
 
     witnesses: dict[frozenset[int], Monomial] = {}
     remaining = set(candidates)
-    for w in divisors(top):
+    for w in capped_divisors(I):
         if not remaining:
             break
         Q = colon(I, w)
-        if Q.is_unit or Q.is_zero:
+        if Q.is_unit:
             continue
         if all(g.degree == 1 for g in Q.gens):
             p = frozenset(g.exps.index(1) + 1 for g in Q.gens)

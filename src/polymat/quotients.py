@@ -27,11 +27,14 @@ from .ideal import (
     ResourceLimitExceeded,
     ZeroIdealError,
     _minimal_sorted,
+    _require_proper,
+    capped_exponents,
+    component,
     ideal_product,
     is_single_degree,
     maximal_ideal,
 )
-from .polymatroid import VeroneseParams, capped_exponents, detect_veronese, veronese
+from .polymatroid import VeroneseParams, detect_veronese, veronese
 
 DEFAULT_SEARCH_CAP = 20
 
@@ -197,9 +200,10 @@ def revlex_lq(
 ) -> LinearQuotientsCertificate | None:
     """Check linear quotients along the reverse-lexicographic generator order.
 
-    The default processes generators in decreasing revlex order; the
-    increasing flag exists because the opposite convention is also found
-    in the literature, and the lab records which one succeeds.
+    The default processes generators in decreasing revlex order, which
+    gives every polymatroidal ideal linear quotients (Herzog-Takayama).
+    The increasing flag serves ``lq revlex --increasing`` and
+    ``verify_squarefree``, which accepts either convention.
     """
     if I.is_zero:
         raise ZeroIdealError("no generators to order")
@@ -293,39 +297,27 @@ def extend_lq_veronese(
     return cert
 
 
-def componentwise_veronese_lq(
-    I: MonomialIdeal, max_gens: int = DEFAULT_SEARCH_CAP
-) -> LinearQuotientsCertificate | None:
+def componentwise_veronese_lq(I: MonomialIdeal) -> LinearQuotientsCertificate | None:
     """A linear-quotients certificate for a componentwise Veronese ideal.
 
     Chains the Veronese extension across the component degrees: the
-    lowest component is ordered by reverse lex (it is polymatroidal) and
-    each following stage appends the extension's new generators, which
-    are exactly the minimal generators of the next degree.  Returns None
-    when some component is not of Veronese type.
+    lowest component is of Veronese type, hence polymatroidal, so
+    decreasing reverse lex gives it linear quotients (Herzog-Takayama),
+    and each following stage appends the extension's new generators,
+    which are exactly the minimal generators of the next degree.  Returns
+    None when some component is not of Veronese type.
     """
-    if I.is_zero or I.is_unit:
-        raise ZeroIdealError("no proper components to chain")
-    from .ideal import component as component_of
-
+    _require_proper(I, "componentwise chaining")
     params: dict[int, VeroneseParams] = {}
     for j in range(I.min_degree, I.max_degree + 1):
-        pj = detect_veronese(component_of(I, j))
+        pj = detect_veronese(component(I, j))
         if pj is None:
             return None
         params[j] = pj
 
-    lowest = component_of(I, I.min_degree)
-    cert0 = revlex_lq(lowest)
-    if cert0 is None:
-        cert0 = find_lq_order(MonomialIdeal._raw(I.nvars, ()), lowest.gens, max_gens)
-    if cert0 is None:
-        raise AssertionError("a Veronese-type component admitted no linear quotients")
-
-    order = list(cert0.appended)
+    order = revlex_order(component(I, I.min_degree).gens)
     for j in range(I.min_degree, I.max_degree):
-        ext = extend_lq_veronese(params[j], params[j + 1])
-        order.extend(ext.appended)
+        order.extend(extend_lq_veronese(params[j], params[j + 1]).appended)
 
     cert, failed_at = check_lq_order(MonomialIdeal._raw(I.nvars, ()), order)
     if cert is None:

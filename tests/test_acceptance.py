@@ -70,11 +70,6 @@ def I(text, n):
     return parse_ideal(text, n)
 
 
-def proper_subsets(n):
-    for size in range(n):
-        yield from itertools.combinations(range(1, n + 1), size)
-
-
 def test_criterion_01_localization_golden():
     ideal = I("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6)
     expected = I("x2*x3, x3*x5*x6", 6)

@@ -1,6 +1,8 @@
 """The command-line front end: verbs, exit codes, JSON output shapes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
 
@@ -325,6 +327,20 @@ class TestErrors:
     def test_large_prime_characteristic(self, capsys):
         assert run(["betti", "--char", "9223372036854775783", "-n", "2", "x1, x2"]) == 0
 
+    def test_unread_option_is_a_usage_error(self, capsys):
+        for argv in (
+            ["colon", "--char", "3", "-n", "2", "x1", "x1"],
+            ["ass", "--budget", "5", "-n", "2", "x1^2, x1*x2"],
+            ["power", "--seed", "1", "-n", "2", "-k", "2", "x1, x2"],
+            ["irrdecomp", "--char", "2", "-n", "2", "x1*x2"],
+        ):
+            assert run(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_equiv_unit_ideal_exit_2(self, capsys):
+        assert run(["equiv", "-n", "2", "1"]) == 2
+        assert "equivalence check undefined for the unit ideal" in capsys.readouterr().err
+
     def test_bad_characteristic_exit_2(self, capsys):
         for char in ("561", "3215031751", str(2**64 + 13)):
             assert run(["betti", "--char", char, "-n", "2", "x1, x2"]) == 2
@@ -332,3 +348,17 @@ class TestErrors:
 
     def test_zero_ideal_predicate_exit_2(self, capsys):
         assert run(["check", "polymatroidal", "-n", "3", ""]) == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_run(capsys):
+    """Every ``polymat ...`` line of the README's CLI block parses and
+    exits 0 (true / success) or 1 (predicate false)."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("polymat ")]
+    assert lines
+    for line in lines:
+        assert run(shlex.split(line, comments=True)[1:]) in (0, 1), line
+        capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 from polymat import lab
 from polymat.ideal import (
     ResourceLimitExceeded,
+    UnitIdealError,
     capped_divisors,
     colon,
     is_single_degree,
@@ -102,6 +103,22 @@ class TestVerifyEquivalences:
         json.dumps(data)
         assert data["conditions"]["a"] is False
 
+    def test_decreasing_revlex_failure_is_a_violation(self, monkeypatch):
+        # b implies c (Herzog-Takayama): a c-failure on a polymatroidal
+        # ideal is reported, not rescued by the increasing convention
+        def decreasing_fails(J, increasing=False):
+            return revlex_lq(J, increasing=True) if increasing else None
+
+        monkeypatch.setattr(lab, "revlex_lq", decreasing_fails)
+        rec = verify_equivalences(I("x1*x2, x1*x3, x2*x3", 3))
+        assert rec.conditions == {"a": True, "b": True, "c": False, "d": True, "e": True}
+        assert rec.witnesses["c"] == {"u": "1", "convention": "decreasing"}
+        assert rec.violation
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(UnitIdealError, match="equivalence check undefined for the unit ideal"):
+            verify_equivalences(I("1", 2))
+
 
 class TestVerifyEquivalencesColonsOnce:
     # each has a colon that repeats over its capped divisors; in the first
@@ -145,7 +162,7 @@ class TestVerifyEquivalencesColonsOnce:
         for text, n in self.CASES:
             ideal = I(text, n)
             rec = verify_equivalences(ideal)
-            assert not rec.convention_sensitive
+            assert rec.to_json()["convention_sensitive"] is False
             got = {k: v for k, v in rec.witnesses.items() if k != "a"}
             assert got == self.first_failures(ideal), text
 

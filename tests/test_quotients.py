@@ -10,6 +10,7 @@ from polymat.ideal import (
     Monomial,
     MonomialIdeal,
     ResourceLimitExceeded,
+    UnitIdealError,
     colon,
     ideal_product,
     maximal_ideal,
@@ -244,6 +245,10 @@ class TestComponentwiseVeroneseChain:
 
     def test_not_componentwise_veronese(self):
         assert componentwise_veronese_lq(I("x1*x2, x1*x3^2, x2*x3^2", 3)) is None
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(UnitIdealError):
+            componentwise_veronese_lq(I("1", 2))
 
     def test_chain_implies_find_succeeds(self):
         for text, n in [("x1, x2^3", 2), ("x1^2, x1*x2, x2^2, x1^3", 2)]:
