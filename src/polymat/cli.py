@@ -90,8 +90,10 @@ def _option(*names: str, **kw) -> argparse.ArgumentParser:
 def _build_parser() -> argparse.ArgumentParser:
     # each verb takes only the options it reads
     js = _option("--json", action="store_true", help="emit one JSON object")
-    char = _option("--char", type=int, default=0, help="field characteristic (0 or a prime below 2^64)")
-    seed = _option("--seed", type=int, default=0, help="RNG seed for sampled scans")
+    # options some modes of a verb do not read default to None, so that
+    # _reject_unread can tell an explicit value from an absent one
+    char = _option("--char", type=int, help="field characteristic (0 or a prime below 2^64; default 0)")
+    seed = _option("--seed", type=int, help="RNG seed for sampled scans (default 0)")
     budget = _option("--budget", type=int, help="cap on lattice points, lq find generators or scan subsets")
     nv = _option("-n", "--nvars", type=int, required=True, help="number of variables (x1..xn)")
 
@@ -150,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lq", parents=[js, budget, nv])
     p.add_argument("mode", choices=["check", "find", "revlex"])
-    p.add_argument("--base", default="", help="base ideal extended by the generators")
-    p.add_argument("--increasing", action="store_true", help="process revlex increasing")
+    p.add_argument("--base", help="base ideal extended by the generators (check, find)")
+    p.add_argument("--increasing", action="store_true", default=None, help="process revlex increasing")
     p.add_argument("generators", help="ideal text; order is significant for 'check'")
 
     p = sub.add_parser("extend-veronese", parents=[js])
@@ -163,10 +165,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdeg", type=int, required=True)
     p.add_argument("--maxgens", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=int, help="sample count of a sampled scan")
 
     sub.add_parser("suite", parents=[js, char])
     return parser
+
+
+HOMOLOGICAL = ("linear-resolution", "linear-relations", "cw-linear")
+
+# options a verb takes that only some of its modes read:
+# verb -> (the mode's argument, {option: the modes that read it})
+MODE_OPTIONS = {
+    "check": ("property", {"char": HOMOLOGICAL, "budget": HOMOLOGICAL}),
+    "lq": ("mode", {"budget": ("find",), "base": ("check", "find"), "increasing": ("revlex",)}),
+    "scan": ("mode", {"budget": ("exhaustive",), "seed": ("sampled",), "samples": ("sampled",)}),
+}
+
+
+def _reject_unread(args) -> None:
+    """An option given explicitly to a mode that does not read it is a
+    usage error, as an option the verb does not take is."""
+    if args.command not in MODE_OPTIONS:
+        return
+    mode_arg, options = MODE_OPTIONS[args.command]
+    mode = getattr(args, mode_arg)
+    for option, modes in options.items():
+        if getattr(args, option) is not None and mode not in modes:
+            raise ValueError(f"--{option} is not read by {args.command} {mode}")
+
+
+def _char(args) -> int:
+    return args.char or 0
 
 
 def _predicate(args) -> int:
@@ -194,11 +223,11 @@ def _predicate(args) -> int:
     elif prop == "single-degree":
         ok = is_single_degree(I)
     elif prop == "linear-resolution":
-        ok = has_linear_resolution(I, args.char, **_budget_kw(args))
+        ok = has_linear_resolution(I, _char(args), **_budget_kw(args))
     elif prop == "linear-relations":
-        ok = has_linear_relations(I, args.char, **_budget_kw(args))
+        ok = has_linear_relations(I, _char(args), **_budget_kw(args))
     else:  # cw-linear
-        ok = is_componentwise_linear(I, args.char, **_budget_kw(args))
+        ok = is_componentwise_linear(I, _char(args), **_budget_kw(args))
 
     code = EXIT_TRUE if ok else EXIT_FALSE
     lines = [f"{prop}: {str(ok).lower()}"]
@@ -218,7 +247,7 @@ def _budget_kw(args) -> dict:
 
 def _run_lq(args) -> int:
     n = args.nvars
-    base = parse_ideal(args.base, n)
+    base = parse_ideal(args.base or "", n)
     if args.mode == "check":
         order = parse_generators(args.generators, n)
         cert, failed_at = check_lq_order(base, order)
@@ -242,11 +271,12 @@ def _run_lq(args) -> int:
             )
     else:  # revlex
         I = parse_ideal(args.generators, n)
-        cert = revlex_lq(I, increasing=args.increasing)
+        increasing = bool(args.increasing)
+        cert = revlex_lq(I, increasing=increasing)
         if cert is None:
             return _emit(
                 args,
-                {"certificate": None, "increasing": args.increasing},
+                {"certificate": None, "increasing": increasing},
                 ["reverse-lex order does not give linear quotients"],
                 EXIT_FALSE,
             )
@@ -278,6 +308,7 @@ def run(argv: list[str]) -> int:
 
 
 def _dispatch(args) -> int:
+    _reject_unread(args)
     cmd = args.command
     if cmd == "check":
         return _predicate(args)
@@ -316,7 +347,7 @@ def _dispatch(args) -> int:
 
     if cmd == "betti":
         I = parse_ideal(args.ideal, args.nvars)
-        table = betti_table(I, args.char, **_budget_kw(args))
+        table = betti_table(I, _char(args), **_budget_kw(args))
         lines = [str(table), f"regularity {table.regularity}"]
         return _emit(
             args,
@@ -359,7 +390,7 @@ def _dispatch(args) -> int:
         return _emit(args, {"certificate": cert.to_json()}, lines, EXIT_TRUE)
 
     if cmd == "equiv":
-        record = verify_equivalences(parse_ideal(args.ideal, args.nvars), args.char)
+        record = verify_equivalences(parse_ideal(args.ideal, args.nvars), _char(args))
         data = record.to_json()
         lines = [
             "conditions: " + " ".join(f"{k}={str(v).lower()}" for k, v in record.conditions.items()),
@@ -374,11 +405,11 @@ def _dispatch(args) -> int:
             maxdeg=args.maxdeg,
             maxgens=args.maxgens,
             mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
+            samples=args.samples or 0,
+            seed=args.seed or 0,
         )
         kw = {"enum_budget": args.budget} if args.budget is not None else {}
-        report = scan_conjecture(space, args.char, **kw)
+        report = scan_conjecture(space, _char(args), **kw)
         summary = report.summary
         lines = [
             f"scanned {summary['total']} ideals: {summary['agree']} agree, "
@@ -392,7 +423,7 @@ def _dispatch(args) -> int:
         return _emit(args, report.to_json(), lines, code)
 
     if cmd == "suite":
-        report = example_suite(args.char)
+        report = example_suite(_char(args))
         code = EXIT_TRUE if report.summary["all_passed"] else EXIT_VIOLATION
         lines = []
         for item in report.items:

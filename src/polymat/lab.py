@@ -363,23 +363,45 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 def _localization_profile(
-    I: MonomialIdeal, char: int, decided: dict[MonomialIdeal, bool]
-) -> tuple[bool, list | None]:
-    """Whether every non-unit localization has a linear resolution, plus
-    the first failing substitution set.  Localizing at every variable
-    gives the unit ideal, so these are proper-subset localizations.
+    I: MonomialIdeal,
+    char: int,
+    decided: dict[MonomialIdeal, tuple[bool, tuple[int, ...] | None]],
+) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether every non-unit localization of the nonzero ideal I has a
+    linear resolution, plus the first failing substitution set in
+    (size, lex) order, as ``_localizations`` walks them.
 
-    ``decided`` maps localizations already decided in this scan to their
-    verdicts; new verdicts are added to it.  A ResourceLimitExceeded
-    propagates and leaves nothing behind.
+    Decided recursively through loc_C(I) = loc_{C - {i}}(loc_i(I)): if I
+    itself is not linear, C = () fails first.  Otherwise the first
+    failing set is the least of (first failing set of loc_i(I)) + {i}
+    over the variables i occurring in G(I) whose localization is not the
+    unit ideal.  That set of loc_i(I) avoids i, and adding the same i to
+    sets of one size that avoid it keeps their lex order, so the least
+    candidate is the least failing set of I.  A variable not occurring in
+    G(I) leaves I unchanged, so no least failing set contains one.
+
+    ``decided`` maps ideals already profiled in this scan to their
+    answers; new answers are added to it.  A ResourceLimitExceeded
+    propagates and stores nothing for the ideals being profiled; since a
+    linear ideal has all its children profiled, a budget exceeded past
+    the first failing set also raises.
     """
-    for C, loc in _localizations(I):
-        linear = decided.get(loc)
-        if linear is None:
-            linear = decided[loc] = has_linear_resolution(loc, char)
-        if not linear:
-            return False, list(C)
-    return True, None
+    known = decided.get(I)
+    if known is not None:
+        return known
+    if not has_linear_resolution(I, char):
+        first: tuple[int, ...] | None = ()
+    else:
+        candidates = []
+        for i in sorted(set().union(*(g.support for g in I.gens))):
+            loc = localize(I, (i,))
+            if not loc.is_unit:
+                linear, failing = _localization_profile(loc, char, decided)
+                if not linear:
+                    candidates.append(tuple(sorted(failing + (i,))))
+        first = min(candidates, key=lambda C: (len(C), C), default=None)
+    decided[I] = answer = (first is None, first)
+    return answer
 
 
 def scan_conjecture(
@@ -392,6 +414,12 @@ def scan_conjecture(
     contradict a proved statement and indicate a bug; reverse
     disagreements are conjecture counterexample candidates.  The report
     is deterministic for a fixed (space, seed, char).
+
+    Each ideal is profiled from its one-variable localizations, each
+    distinct ideal once per scan (see ``_localization_profile``).  An
+    ideal whose profile or exchange test exceeds a budget is reported
+    as skipped; any ResourceLimitExceeded while profiling a linear ideal
+    skips it, even one raised past its first failing set.
     """
     t0 = time.perf_counter()
     report = LabReport(
@@ -405,11 +433,13 @@ def scan_conjecture(
     )
     counts = {"agree": 0, "forward_violations": 0, "reverse_candidates": 0, "skipped": 0}
     counterexamples: list[dict] = []
-    # Verdicts per localized ideal.  A localization has no more generators
-    # and no higher degree than its ideal, so in an exhaustive space it is
-    # an ideal of the space, and the memo never outgrows the space; a
-    # sampled ideal adds at most 2^n - 1 entries.
-    decided: dict[MonomialIdeal, bool] = {}
+    # Profiles per ideal: each scanned ideal and each localization profiled
+    # below it, keyed by the ideal, valued (all linear, first failing set).
+    # A localization has no more generators and no higher degree than its
+    # ideal, so in an exhaustive space it is an ideal of the space, and the
+    # memo never outgrows the space; a sampled ideal adds at most 2^n - 1
+    # entries, itself and its non-unit localizations.
+    decided: dict[MonomialIdeal, tuple[bool, tuple[int, ...] | None]] = {}
 
     for idx, I in enumerate(space_ideals(space, enum_budget)):
         item: dict = {"index": idx, "ideal": str(I), "nvars": I.nvars}
@@ -426,7 +456,7 @@ def scan_conjecture(
         if wit is not None:
             item["exchange_witness"] = wit.to_json()
         item["all_localizations_linear"] = loc_linear
-        item["failing_subset"] = failing
+        item["failing_subset"] = None if failing is None else list(failing)
         if pm == loc_linear:
             item["status"] = "agree"
             counts["agree"] += 1
@@ -770,7 +800,7 @@ def _check_three_prime_intersection(char: int) -> dict:
         p | q == {1, 2, 3} for p in primes for q in primes if p != q
     )
     triple_empty = set.intersection(*primes) == set()
-    locs_linear = all(has_linear_resolution(loc, char) for _, loc in _localizations(I))
+    locs_linear = _localization_profile(I, char, {})[0]
     ok = (
         is_matroidal(I)
         and not ass.has_embedded

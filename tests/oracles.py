@@ -13,6 +13,7 @@ library looks moves up among the generators).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from polymat.ideal import (
@@ -20,10 +21,11 @@ from polymat.ideal import (
     MonomialIdeal,
     colon,
     is_single_degree,
+    localize,
     monomials_of_degree,
 )
 from polymat.polymatroid import VERDICT_VIOLATED, ExchangeWitness
-from polymat.resolution import matrix_rank
+from polymat.resolution import has_linear_resolution, matrix_rank
 
 
 def monomials_up_to(nvars: int, maxdeg: int):
@@ -195,4 +197,21 @@ def has_nonpure_exchange_loop(I: MonomialIdeal):
             for i0 in range(I.nvars):
                 if big.exps[i0] > small.exps[i0] and not _some_move_in(I, big, small, i0):
                     return False, ExchangeWitness(big, small, i0 + 1, VERDICT_VIOLATED)
+    return True, None
+
+
+@functools.lru_cache(maxsize=None)
+def _linear(J: MonomialIdeal, char: int) -> bool:
+    return has_linear_resolution(J, char)
+
+
+def localization_profile_by_walk(I: MonomialIdeal, char: int = 0):
+    """(every non-unit localization linear, first failing set as a list)
+    by the flat walk over every proper substitution set C in (size, lex)
+    order, each localized from I in one step."""
+    for size in range(I.nvars):
+        for C in itertools.combinations(range(1, I.nvars + 1), size):
+            loc = localize(I, C)
+            if not loc.is_unit and not _linear(loc, char):
+                return False, list(C)
     return True, None

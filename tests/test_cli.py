@@ -1,10 +1,13 @@
 """The command-line front end: verbs, exit codes, JSON output shapes."""
 
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
 
 import jsonschema
+from hypothesis import given, settings, strategies as st
 
 from polymat.cli import run
 from polymat.ideal import parse_ideal
@@ -337,6 +340,31 @@ class TestErrors:
             assert run(argv) == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_option_unread_by_the_mode_is_a_usage_error(self, capsys):
+        scan = ["scan", "--nvars", "2", "--maxdeg", "2", "--maxgens", "2"]
+        cases = [
+            (["check", prop, "--char", "0", "-n", "2", "x1"], "--char", "check " + prop)
+            for prop in ("polymatroidal", "matroidal", "strong-exchange", "nonpure-exchange",
+                         "cw-polymatroidal", "cw-veronese", "single-degree")
+        ] + [
+            (["check", "single-degree", "--budget", "9", "-n", "2", "x1"], "--budget", "check single-degree"),
+            (["lq", "check", "--budget", "9", "-n", "2", "x1"], "--budget", "lq check"),
+            (["lq", "revlex", "--budget", "9", "-n", "2", "x1"], "--budget", "lq revlex"),
+            (["lq", "check", "--increasing", "-n", "2", "x1"], "--increasing", "lq check"),
+            (["lq", "find", "--increasing", "-n", "2", "x1"], "--increasing", "lq find"),
+            (["lq", "revlex", "--base", "", "-n", "2", "x1"], "--base", "lq revlex"),
+            (scan + ["--mode", "sampled", "--samples", "3", "--budget", "0"], "--budget", "scan sampled"),
+            (scan + ["--seed", "0"], "--seed", "scan exhaustive"),
+            (scan + ["--samples", "3"], "--samples", "scan exhaustive"),
+        ]
+        for argv, option, mode in cases:
+            assert run(argv) == 2, argv
+            assert f"{option} is not read by {mode}" in capsys.readouterr().err, argv
+        # the modes that read them still do
+        assert run(["check", "linear-resolution", "--char", "2", "--budget", "50", "-n", "2", "x1"]) == 0
+        assert run(["lq", "find", "--base", "x1", "--budget", "5", "-n", "2", "x2"]) == 0
+        assert run(scan + ["--mode", "sampled", "--samples", "3", "--seed", "4"]) == 0
+
     def test_equiv_unit_ideal_exit_2(self, capsys):
         assert run(["equiv", "-n", "2", "1"]) == 2
         assert "equivalence check undefined for the unit ideal" in capsys.readouterr().err
@@ -362,3 +390,127 @@ def test_readme_cli_examples_run(capsys):
     for line in lines:
         assert run(shlex.split(line, comments=True)[1:]) in (0, 1), line
         capsys.readouterr()
+
+
+# --- fuzzing ``run`` over every verb and the options it takes --------------
+
+IDEAL_GARBAGE = ("x1 +", "x4", "y1", "x1^-1", "x1**2", ",", "x0")
+
+
+@st.composite
+def monomial_text(draw, n, mindeg=0):
+    exps = [0] * n
+    for _ in range(draw(st.integers(mindeg, 3))):
+        exps[draw(st.integers(0, n - 1))] += 1
+    factors = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(exps) if e]
+    return "*".join(factors) or "1"
+
+
+@st.composite
+def ideal_text(draw, n):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(IDEAL_GARBAGE + ("", "1")))
+    return ", ".join(draw(st.lists(monomial_text(n, 1), min_size=1, max_size=4)))
+
+
+@st.composite
+def veronese_params_pair(draw):
+    """Source and target parameters, mostly a degree apart with caps that
+    may rise by one, sometimes malformed."""
+    d = draw(st.integers(0, 3))
+    caps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    raised = [c + draw(st.integers(0, 1)) for c in caps]
+    target = f"{d + 1}:{','.join(map(str, raised))}"
+    if draw(st.integers(0, 4)) == 0:
+        target = draw(st.sampled_from(("2;1,2", "x:1", "2:", "3:3,3")))
+    return f"{d}:{','.join(map(str, caps))}", target
+
+
+CHARS = st.sampled_from(("0", "2", "3", "4", "-1"))
+BUDGETS = st.integers(0, 50).map(str)
+PROPERTIES = (
+    "polymatroidal", "matroidal", "strong-exchange", "nonpure-exchange",
+    "cw-polymatroidal", "cw-veronese", "single-degree", "linear-resolution",
+    "linear-relations", "cw-linear",
+)
+
+
+def verb_arguments(n):
+    """verb -> (strategies of its positional arguments, {option it takes:
+    strategy of the value, None for a flag}), for ideals in n variables."""
+    ideal = ideal_text(n)
+    return {
+        "check": (
+            [st.sampled_from(PROPERTIES), ideal],
+            {"--char": CHARS, "--budget": BUDGETS},
+        ),
+        "colon": ([ideal, monomial_text(n)], {}),
+        "saturate": ([ideal, monomial_text(n)], {}),
+        "localize": (
+            [ideal],
+            {"--ones": st.sampled_from(("1", "1,2", "", "3", "4")),
+             "--prime": st.sampled_from(("1", "2,3", "", "0", "4"))},
+        ),
+        "combine": ([st.sampled_from(("sum", "product", "intersect")), ideal, ideal], {}),
+        "power": ([st.integers(-1, 3).map(lambda k: f"-k{k}"), ideal], {}),
+        "component": ([st.integers(-1, 6).map(lambda j: f"-j{j}"), ideal], {}),
+        "betti": ([ideal], {"--char": CHARS, "--budget": BUDGETS}),
+        "ass": ([ideal], {}),
+        "irrdecomp": ([ideal], {}),
+        "equiv": ([ideal], {"--char": CHARS}),
+        "lq": (
+            [st.sampled_from(("check", "find", "revlex")), ideal],
+            {"--budget": BUDGETS, "--base": ideal, "--increasing": None},
+        ),
+    }
+
+
+@st.composite
+def cli_argv(draw):
+    verb = draw(st.sampled_from((
+        "check", "colon", "saturate", "localize", "combine", "power", "component",
+        "betti", "ass", "irrdecomp", "equiv", "lq", "extend-veronese", "scan", "suite",
+    )))
+    argv = [verb]
+    if verb == "extend-veronese":
+        source, target = draw(veronese_params_pair())
+        argv += ["--from-params", source, "--to-params", target]
+    elif verb == "scan":
+        for flag, hi in (("--nvars", 3), ("--maxdeg", 3), ("--maxgens", 4)):
+            argv += [flag, str(draw(st.integers(1, hi)))]
+        optional = {
+            "--mode": st.sampled_from(("exhaustive", "sampled")),
+            "--samples": st.integers(0, 5).map(str),
+            "--seed": st.integers(0, 3).map(str),
+            "--char": CHARS,
+            "--budget": BUDGETS,
+        }
+        for option in sorted(optional):
+            if draw(st.booleans()):
+                argv += [option, draw(optional[option])]
+    elif verb == "suite":
+        if draw(st.booleans()):
+            argv += ["--char", draw(CHARS)]
+    else:
+        n = draw(st.integers(1, 3))
+        positional, optional = verb_arguments(n)[verb]
+        argv += [draw(s) for s in positional]
+        argv += ["-n", str(draw(st.sampled_from((n, n, 0, n + 1))))]
+        for option in sorted(optional):
+            if draw(st.booleans()):
+                argv.append(option)
+                if optional[option] is not None:
+                    argv.append(draw(optional[option]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_fuzz_run_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -5,9 +5,12 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymat import lab
 from polymat.ideal import (
+    Monomial,
+    MonomialIdeal,
     ResourceLimitExceeded,
     UnitIdealError,
     capped_divisors,
@@ -30,7 +33,7 @@ from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
 from polymat.quotients import revlex_lq
 from polymat.resolution import has_linear_resolution
 
-from oracles import taylor_betti
+from oracles import localization_profile_by_walk, taylor_betti
 
 
 def I(text, n):
@@ -289,6 +292,83 @@ class TestScanMemo:
             assert item["ideal"] == str(ideal)
             expected = profile_by_oracle(ideal)
             assert (item["all_localizations_linear"], item["failing_subset"]) == expected, item
+
+
+@st.composite
+def small_ideals(draw):
+    """Nonzero, non-unit ideals in at most 5 variables: up to 5
+    generators, each a product of 1 to 3 variables."""
+    n = draw(st.integers(1, 5))
+    gens = []
+    for factors in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), min_size=1, max_size=5)):
+        exps = [0] * n
+        for k in factors:
+            exps[k] += 1
+        gens.append(Monomial(exps))
+    return MonomialIdeal(n, gens)
+
+
+class TestLocalizationProfile:
+    """The recursive profile against the flat (size, lex) walk."""
+
+    @pytest.mark.parametrize("char", [0, 2])
+    @pytest.mark.parametrize(
+        "space",
+        [
+            IdealSpace(nvars=4, maxdeg=3, maxgens=3),
+            IdealSpace(nvars=5, maxdeg=3, maxgens=5, mode="sampled", samples=200, seed=3),
+        ],
+        ids=["exhaustive-4-3-3", "sampled-5-3-5"],
+    )
+    def test_scan_items_match_the_walk(self, space, char):
+        report = scan_conjecture(space, char)
+        ideals = list(space_ideals(space))
+        assert len(report.items) == len(ideals) and report.summary["skipped"] == 0
+        for item, ideal in zip(report.items, ideals):
+            expected = localization_profile_by_walk(ideal, char)
+            assert (item["all_localizations_linear"], item["failing_subset"]) == expected, item
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ideals(), st.sampled_from([0, 2]))
+    def test_profile_matches_the_walk(self, ideal, char):
+        linear, failing = lab._localization_profile(ideal, char, {})
+        got = (linear, None if failing is None else list(failing))
+        assert got == localization_profile_by_walk(ideal, char)
+
+    def test_scan_localizes_one_variable_at_a_time(self, monkeypatch):
+        sets = []
+
+        def recording_localize(J, C):
+            C = tuple(C)
+            sets.append(C)
+            return localize(J, C)
+
+        monkeypatch.setattr(lab, "localize", recording_localize)
+        scan_conjecture(IdealSpace(nvars=3, maxdeg=3, maxgens=4))
+        assert sets and all(len(C) == 1 for C in sets)
+
+    def test_budget_past_the_first_failing_set_skips(self, monkeypatch):
+        ideal = I("x3^2, x2*x3, x1*x2", 3)
+        # the walk stops at (1,); the recursion also profiles loc_2 = (x1, x3)
+        assert lab._localization_profile(ideal, 0, {}) == (False, (1,))
+        late = localize(ideal, [2])
+        assert late == I("x1, x3", 3)
+
+        def late_exceeds(J, char=0):
+            if J == late:
+                raise ResourceLimitExceeded("lcm lattice exceeds budget")
+            return has_linear_resolution(J, char)
+
+        monkeypatch.setattr(lab, "has_linear_resolution", late_exceeds)
+        decided = {}
+        with pytest.raises(ResourceLimitExceeded):
+            lab._localization_profile(ideal, 0, decided)
+        assert ideal not in decided and late not in decided
+        assert decided[localize(ideal, [1])] == (False, ())
+
+        report = scan_conjecture(IdealSpace(nvars=3, maxdeg=2, maxgens=3))
+        item = next(it for it in report.items if it["ideal"] == str(ideal))
+        assert item["status"] == "skipped"
 
 
 class TestVeroneseReconstruction:
