@@ -300,7 +300,8 @@ def small_ideals(draw):
     generators, each a product of 1 to 3 variables."""
     n = draw(st.integers(1, 5))
     gens = []
-    for factors in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), min_size=1, max_size=5)):
+    factor_lists = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+    for factors in draw(st.lists(factor_lists, min_size=1, max_size=5)):
         exps = [0] * n
         for k in factors:
             exps[k] += 1
