@@ -5,11 +5,16 @@ text by default or a single JSON object with --json.  Exit codes:
 0 = predicate true / operation succeeded, 1 = predicate false,
 2 = usage or parse error, 3 = resource budget exceeded,
 4 = theorem violation detected by a harness.
+
+The parser alone scopes the options: each leaf command (a verb, or a verb
+and its mode) declares the options it reads, with their defaults.  It is
+built on the first ``run`` and kept for the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +34,7 @@ from .ideal import (
     power,
     saturate,
 )
-from .lab import IdealSpace, example_suite, scan_conjecture, verify_equivalences
+from .lab import DEFAULT_ENUM_BUDGET, IdealSpace, example_suite, scan_conjecture, verify_equivalences
 from .polymatroid import (
     VeroneseParams,
     has_nonpure_exchange,
@@ -41,12 +46,14 @@ from .polymatroid import (
 )
 from .primes import associated_primes, irreducible_decomposition
 from .quotients import (
+    DEFAULT_SEARCH_CAP,
     check_lq_order,
     extend_lq_veronese,
     find_lq_order,
     revlex_lq,
 )
 from .resolution import (
+    DEFAULT_LATTICE_BUDGET,
     betti_table,
     has_linear_relations,
     has_linear_resolution,
@@ -87,14 +94,24 @@ def _option(*names: str, **kw) -> argparse.ArgumentParser:
     return parent
 
 
+def _budget(default: int, what: str) -> argparse.ArgumentParser:
+    return _option("--budget", type=int, default=default, help=f"cap on {what} (default %(default)s)")
+
+
+HOMOLOGICAL = ("linear-resolution", "linear-relations", "cw-linear")
+CHECK_PROPERTIES = (
+    "polymatroidal", "matroidal", "strong-exchange", "nonpure-exchange",
+    "cw-polymatroidal", "cw-veronese", "single-degree", *HOMOLOGICAL,
+)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # each verb takes only the options it reads
     js = _option("--json", action="store_true", help="emit one JSON object")
-    # options some modes of a verb do not read default to None, so that
-    # _reject_unread can tell an explicit value from an absent one
-    char = _option("--char", type=int, help="field characteristic (0 or a prime below 2^64; default 0)")
-    seed = _option("--seed", type=int, help="RNG seed for sampled scans (default 0)")
-    budget = _option("--budget", type=int, help="cap on lattice points, lq find generators or scan subsets")
+    char = _option("--char", type=int, default=0, help="characteristic, 0 (default) or a prime below 2^64")
+    lattice = _budget(DEFAULT_LATTICE_BUDGET, "lattice points")
+    base = _option("--base", default="", help="base ideal the generators extend (default zero)")
+    increasing = _option("--increasing", action="store_true", help="process revlex increasing")
     nv = _option("-n", "--nvars", type=int, required=True, help="number of variables (x1..xn)")
 
     parser = argparse.ArgumentParser(
@@ -104,23 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polymat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[js, char, budget, nv], help="run a predicate on an ideal")
-    p.add_argument(
-        "property",
-        choices=[
-            "polymatroidal",
-            "matroidal",
-            "strong-exchange",
-            "nonpure-exchange",
-            "cw-polymatroidal",
-            "cw-veronese",
-            "single-degree",
-            "linear-resolution",
-            "linear-relations",
-            "cw-linear",
-        ],
-    )
-    p.add_argument("ideal")
+    check = sub.add_parser("check", help="run a predicate on an ideal")
+    properties = check.add_subparsers(dest="property", required=True)
+    for prop in CHECK_PROPERTIES:
+        options = [char, lattice] if prop in HOMOLOGICAL else []
+        properties.add_parser(prop, parents=[js, *options, nv]).add_argument("ideal")
 
     for verb in ("colon", "saturate"):
         p = sub.add_parser(verb, parents=[js, nv])
@@ -146,56 +151,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", type=int, required=True)
     p.add_argument("ideal")
 
-    for verb, options in (("betti", [char, budget]), ("ass", []), ("irrdecomp", []), ("equiv", [char])):
+    for verb, options in (("betti", [char, lattice]), ("ass", []), ("irrdecomp", []), ("equiv", [char])):
         p = sub.add_parser(verb, parents=[js, *options, nv])
         p.add_argument("ideal")
 
-    p = sub.add_parser("lq", parents=[js, budget, nv])
-    p.add_argument("mode", choices=["check", "find", "revlex"])
-    p.add_argument("--base", help="base ideal extended by the generators (check, find)")
-    p.add_argument("--increasing", action="store_true", default=None, help="process revlex increasing")
-    p.add_argument("generators", help="ideal text; order is significant for 'check'")
+    modes = sub.add_parser("lq").add_subparsers(dest="mode", required=True)
+    for mode, options in (
+        ("check", [base]),
+        ("find", [base, _budget(DEFAULT_SEARCH_CAP, "generators searched")]),
+        ("revlex", [increasing]),
+    ):
+        p = modes.add_parser(mode, parents=[js, *options, nv])
+        p.add_argument("generators", help="ideal text; order is significant for 'check'")
 
     p = sub.add_parser("extend-veronese", parents=[js])
     p.add_argument("--from-params", required=True, metavar="D:A1,A2,...")
     p.add_argument("--to-params", required=True, metavar="D:B1,B2,...")
 
-    p = sub.add_parser("scan", parents=[js, char, budget, seed])
+    p = sub.add_parser("scan", parents=[js, char])
     p.add_argument("--nvars", type=int, required=True)
     p.add_argument("--maxdeg", type=int, required=True)
     p.add_argument("--maxgens", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, help="sample count of a sampled scan")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
+        "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="cap on enumerated subsets (default %(default)s)"
+    )
+    group.add_argument("--samples", type=int, help="scan this many sampled ideals instead of all")
+    p.add_argument("--seed", type=int, help="RNG seed of a sampled scan (default 0)")
 
     sub.add_parser("suite", parents=[js, char])
     return parser
-
-
-HOMOLOGICAL = ("linear-resolution", "linear-relations", "cw-linear")
-
-# options a verb takes that only some of its modes read:
-# verb -> (the mode's argument, {option: the modes that read it})
-MODE_OPTIONS = {
-    "check": ("property", {"char": HOMOLOGICAL, "budget": HOMOLOGICAL}),
-    "lq": ("mode", {"budget": ("find",), "base": ("check", "find"), "increasing": ("revlex",)}),
-    "scan": ("mode", {"budget": ("exhaustive",), "seed": ("sampled",), "samples": ("sampled",)}),
-}
-
-
-def _reject_unread(args) -> None:
-    """An option given explicitly to a mode that does not read it is a
-    usage error, as an option the verb does not take is."""
-    if args.command not in MODE_OPTIONS:
-        return
-    mode_arg, options = MODE_OPTIONS[args.command]
-    mode = getattr(args, mode_arg)
-    for option, modes in options.items():
-        if getattr(args, option) is not None and mode not in modes:
-            raise ValueError(f"--{option} is not read by {args.command} {mode}")
-
-
-def _char(args) -> int:
-    return args.char or 0
 
 
 def _predicate(args) -> int:
@@ -223,11 +208,11 @@ def _predicate(args) -> int:
     elif prop == "single-degree":
         ok = is_single_degree(I)
     elif prop == "linear-resolution":
-        ok = has_linear_resolution(I, _char(args), **_budget_kw(args))
+        ok = has_linear_resolution(I, args.char, args.budget)
     elif prop == "linear-relations":
-        ok = has_linear_relations(I, _char(args), **_budget_kw(args))
+        ok = has_linear_relations(I, args.char, args.budget)
     else:  # cw-linear
-        ok = is_componentwise_linear(I, _char(args), **_budget_kw(args))
+        ok = is_componentwise_linear(I, args.char, args.budget)
 
     code = EXIT_TRUE if ok else EXIT_FALSE
     lines = [f"{prop}: {str(ok).lower()}"]
@@ -241,15 +226,10 @@ def _predicate(args) -> int:
     return _emit(args, {"property": prop, "result": ok, "witness": witness, **detail}, lines, code)
 
 
-def _budget_kw(args) -> dict:
-    return {"budget": args.budget} if args.budget is not None else {}
-
-
 def _run_lq(args) -> int:
     n = args.nvars
-    base = parse_ideal(args.base or "", n)
     if args.mode == "check":
-        order = parse_generators(args.generators, n)
+        base, order = parse_ideal(args.base, n), parse_generators(args.generators, n)
         cert, failed_at = check_lq_order(base, order)
         if cert is None:
             return _emit(
@@ -259,9 +239,8 @@ def _run_lq(args) -> int:
                 EXIT_FALSE,
             )
     elif args.mode == "find":
-        gens = parse_ideal(args.generators, n).gens
-        kw = {"max_gens": args.budget} if args.budget is not None else {}
-        cert = find_lq_order(base, gens, **kw)
+        base, gens = parse_ideal(args.base, n), parse_ideal(args.generators, n).gens
+        cert = find_lq_order(base, gens, args.budget)
         if cert is None:
             return _emit(
                 args,
@@ -271,12 +250,11 @@ def _run_lq(args) -> int:
             )
     else:  # revlex
         I = parse_ideal(args.generators, n)
-        increasing = bool(args.increasing)
-        cert = revlex_lq(I, increasing=increasing)
+        cert = revlex_lq(I, increasing=args.increasing)
         if cert is None:
             return _emit(
                 args,
-                {"certificate": None, "increasing": increasing},
+                {"certificate": None, "increasing": args.increasing},
                 ["reverse-lex order does not give linear quotients"],
                 EXIT_FALSE,
             )
@@ -287,9 +265,8 @@ def _run_lq(args) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 on usage errors
         return int(exc.code or 0)
@@ -308,7 +285,6 @@ def run(argv: list[str]) -> int:
 
 
 def _dispatch(args) -> int:
-    _reject_unread(args)
     cmd = args.command
     if cmd == "check":
         return _predicate(args)
@@ -347,7 +323,7 @@ def _dispatch(args) -> int:
 
     if cmd == "betti":
         I = parse_ideal(args.ideal, args.nvars)
-        table = betti_table(I, _char(args), **_budget_kw(args))
+        table = betti_table(I, args.char, args.budget)
         lines = [str(table), f"regularity {table.regularity}"]
         return _emit(
             args,
@@ -390,7 +366,7 @@ def _dispatch(args) -> int:
         return _emit(args, {"certificate": cert.to_json()}, lines, EXIT_TRUE)
 
     if cmd == "equiv":
-        record = verify_equivalences(parse_ideal(args.ideal, args.nvars), _char(args))
+        record = verify_equivalences(parse_ideal(args.ideal, args.nvars), args.char)
         data = record.to_json()
         lines = [
             "conditions: " + " ".join(f"{k}={str(v).lower()}" for k, v in record.conditions.items()),
@@ -400,16 +376,14 @@ def _dispatch(args) -> int:
         return _emit(args, data, lines, code)
 
     if cmd == "scan":
-        space = IdealSpace(
-            nvars=args.nvars,
-            maxdeg=args.maxdeg,
-            maxgens=args.maxgens,
-            mode=args.mode,
-            samples=args.samples or 0,
-            seed=args.seed or 0,
-        )
-        kw = {"enum_budget": args.budget} if args.budget is not None else {}
-        report = scan_conjecture(space, _char(args), **kw)
+        if args.samples is None:
+            if args.seed is not None:
+                raise ValueError("--seed is read only by a sampled scan, which --samples selects")
+            sampling = {}
+        else:
+            sampling = {"mode": "sampled", "samples": args.samples, "seed": args.seed or 0}
+        space = IdealSpace(args.nvars, args.maxdeg, args.maxgens, **sampling)
+        report = scan_conjecture(space, args.char, args.budget)
         summary = report.summary
         lines = [
             f"scanned {summary['total']} ideals: {summary['agree']} agree, "
@@ -423,7 +397,7 @@ def _dispatch(args) -> int:
         return _emit(args, report.to_json(), lines, code)
 
     if cmd == "suite":
-        report = example_suite(_char(args))
+        report = example_suite(args.char)
         code = EXIT_TRUE if report.summary["all_passed"] else EXIT_VIOLATION
         lines = []
         for item in report.items:

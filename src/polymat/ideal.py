@@ -13,11 +13,21 @@ text grammar ``x1*x3^2, x2^2``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, Sequence
 
 
 class ResourceLimitExceeded(Exception):
     """A configured enumeration budget was hit; no answer was produced."""
+
+
+# most monomials power and component may enumerate, counted before they start
+DEFAULT_MONOMIAL_BUDGET = 200_000
+
+
+def _check_enumeration(what: str, count: int) -> None:
+    if count > DEFAULT_MONOMIAL_BUDGET:
+        raise ResourceLimitExceeded(f"{what} would enumerate {count} > {DEFAULT_MONOMIAL_BUDGET} monomials")
 
 
 class ZeroIdealError(ValueError):
@@ -382,9 +392,10 @@ def combine(op: str, I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """The k-th power of I, as a product folded k times (k >= 1)."""
+    """The k-th power of I (k >= 1), folded from its C(|G(I)| + k - 1, k) generator products."""
     if k < 1:
         raise ValueError("power requires k >= 1")
+    _check_enumeration("power", math.comb(len(I.gens) + k - 1, k))
     result = I
     for _ in range(k - 1):
         result = ideal_product(result, I)
@@ -395,12 +406,15 @@ def component(I: MonomialIdeal, j: int) -> MonomialIdeal:
     """The ideal generated by all monomials of degree j lying in I."""
     if j < 0:
         raise ValueError("component degree must be non-negative")
+    n = I.nvars
+    count = sum(math.comb(j - g.degree + n - 1, n - 1) for g in I.gens if g.degree <= j)
+    _check_enumeration("component", count)
     seen: set[tuple[int, ...]] = set()
     for g in I.gens:
         rest = j - g.degree
         if rest < 0:
             continue
-        for w in capped_exponents(rest, (rest,) * I.nvars):
+        for w in capped_exponents(rest, (rest,) * n):
             seen.add(tuple(a + b for a, b in zip(g.exps, w)))
     gens = tuple(Monomial(e) for e in sorted(seen))
     return MonomialIdeal._raw(I.nvars, gens)

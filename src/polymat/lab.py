@@ -38,6 +38,7 @@ from .ideal import (
 )
 from .polymatroid import (
     VeroneseParams,
+    detect_veronese,
     is_componentwise_polymatroidal,
     is_matroidal,
     is_polymatroidal,
@@ -712,7 +713,7 @@ def check_pure_powers_classification(I: MonomialIdeal, char: int = 0) -> dict:
     loc = localize(I, [exceptional])
     if not (loc.is_unit or has_linear_resolution(loc, char)):
         return {"premise": False}
-    k = max(g.exps[exceptional - 1] for g in I.gens)
+    k = I.lcm_gens().exps[exceptional - 1]
     caps = tuple(k if i == exceptional else d for i in range(1, n + 1))
     conclusion = I == veronese(VeroneseParams(d, caps))
     return {
@@ -733,7 +734,7 @@ def check_veronese_reconstruction(I: MonomialIdeal, char: int = 0) -> dict:
     d = I.gens[0].degree
     if not has_linear_resolution(I, char):
         return {"premise": False}
-    caps = tuple(max(g.exps[i] for g in I.gens) for i in range(I.nvars))
+    caps = I.lcm_gens().exps
     for i in range(1, I.nvars + 1):
         loc = localize(I, [i])
         a_i = caps[i - 1]
@@ -744,7 +745,7 @@ def check_veronese_reconstruction(I: MonomialIdeal, char: int = 0) -> dict:
         loc_caps = tuple(0 if k == i - 1 else caps[k] for k in range(I.nvars))
         if sum(loc_caps) < d - a_i or loc != veronese(VeroneseParams(d - a_i, loc_caps)):
             return {"premise": False}
-    conclusion = I == veronese(VeroneseParams(d, caps))
+    conclusion = detect_veronese(I) is not None
     return {"premise": True, "conclusion": conclusion, "caps": list(caps), "d": d}
 
 

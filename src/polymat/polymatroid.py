@@ -188,7 +188,7 @@ def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:
     if not is_single_degree(I):
         raise ValueError("Veronese detection requires a single generator degree")
     d = I.gens[0].degree
-    caps = tuple(max(g.exps[i] for g in I.gens) for i in range(I.nvars))
+    caps = I.lcm_gens().exps
     params = VeroneseParams(d, caps)
     return params if veronese(params) == I else None
 

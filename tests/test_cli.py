@@ -1,16 +1,21 @@
 """The command-line front end: verbs, exit codes, JSON output shapes."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import shlex
+import time
 from pathlib import Path
 
 import jsonschema
 from hypothesis import given, settings, strategies as st
 
+from polymat import cli
 from polymat.cli import run
 from polymat.ideal import parse_ideal
+from polymat.lab import IdealSpace, scan_conjecture
 
 WITNESS_SCHEMA = {
     "type": ["object", "null"],
@@ -343,27 +348,63 @@ class TestErrors:
     def test_option_unread_by_the_mode_is_a_usage_error(self, capsys):
         scan = ["scan", "--nvars", "2", "--maxdeg", "2", "--maxgens", "2"]
         cases = [
-            (["check", prop, "--char", "0", "-n", "2", "x1"], "--char", "check " + prop)
+            (["check", prop, "--char", "0", "-n", "2", "x1"], ["--char"])
             for prop in ("polymatroidal", "matroidal", "strong-exchange", "nonpure-exchange",
                          "cw-polymatroidal", "cw-veronese", "single-degree")
         ] + [
-            (["check", "single-degree", "--budget", "9", "-n", "2", "x1"], "--budget", "check single-degree"),
-            (["lq", "check", "--budget", "9", "-n", "2", "x1"], "--budget", "lq check"),
-            (["lq", "revlex", "--budget", "9", "-n", "2", "x1"], "--budget", "lq revlex"),
-            (["lq", "check", "--increasing", "-n", "2", "x1"], "--increasing", "lq check"),
-            (["lq", "find", "--increasing", "-n", "2", "x1"], "--increasing", "lq find"),
-            (["lq", "revlex", "--base", "", "-n", "2", "x1"], "--base", "lq revlex"),
-            (scan + ["--mode", "sampled", "--samples", "3", "--budget", "0"], "--budget", "scan sampled"),
-            (scan + ["--seed", "0"], "--seed", "scan exhaustive"),
-            (scan + ["--samples", "3"], "--samples", "scan exhaustive"),
+            (["check", "single-degree", "--budget", "9", "-n", "2", "x1"], ["--budget"]),
+            (["lq", "check", "--budget", "9", "-n", "2", "x1"], ["--budget"]),
+            (["lq", "revlex", "--budget", "9", "-n", "2", "x1"], ["--budget"]),
+            (["lq", "check", "--increasing", "-n", "2", "x1"], ["--increasing"]),
+            (["lq", "find", "--increasing", "-n", "2", "x1"], ["--increasing"]),
+            (["lq", "revlex", "--base", "", "-n", "2", "x1"], ["--base"]),
+            (scan + ["--samples", "3", "--budget", "0"], ["--samples", "--budget"]),
+            (scan + ["--seed", "0"], ["--seed"]),
+            (scan + ["--mode", "sampled"], ["--mode"]),
         ]
-        for argv, option, mode in cases:
+        for argv, options in cases:
             assert run(argv) == 2, argv
-            assert f"{option} is not read by {mode}" in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            for option in options:
+                assert option in err, argv
         # the modes that read them still do
         assert run(["check", "linear-resolution", "--char", "2", "--budget", "50", "-n", "2", "x1"]) == 0
         assert run(["lq", "find", "--base", "x1", "--budget", "5", "-n", "2", "x2"]) == 0
-        assert run(scan + ["--mode", "sampled", "--samples", "3", "--seed", "4"]) == 0
+        assert run(scan + ["--samples", "3", "--seed", "4"]) == 0
+
+    def test_sampled_scan_is_selected_by_samples(self, capsys):
+        code, data = run_json(
+            capsys, ["scan", "--nvars", "3", "--maxdeg", "2", "--maxgens", "3", "--samples", "5", "--seed", "3"]
+        )
+        assert code == 0
+        expected = scan_conjecture(IdealSpace(3, 2, 3, mode="sampled", samples=5, seed=3)).stable_json()
+        del data["summary"]["elapsed_seconds"]
+        assert data == {"command": "scan", "exit_code": 0, **expected}
+
+    def test_component_and_power_over_budget_exit_3(self, capsys):
+        for argv in (
+            ["component", "-n", "3", "-j", "100000", "x1"],
+            ["power", "-n", "4", "-k", "1000", "x1, x2, x3, x4"],
+        ):
+            t0 = time.perf_counter()
+            assert run(argv) == 3, argv
+            assert time.perf_counter() - t0 < 1.0, argv
+            assert "budget" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        argv = ["lq", "revlex", "-n", "2", "x1^2, x1*x2, x2^2"]
+        run(argv)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(20):
+            assert run(argv) == 0
+        assert built == []
 
     def test_equiv_unit_ideal_exit_2(self, capsys):
         assert run(["equiv", "-n", "2", "1"]) == 2
@@ -390,6 +431,34 @@ def test_readme_cli_examples_run(capsys):
     for line in lines:
         assert run(shlex.split(line, comments=True)[1:]) in (0, 1), line
         capsys.readouterr()
+
+
+def parser_leaves(parser, path=()):
+    """(leaf command, its parser) for every leaf of the argparse tree."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+        return
+    for name, child in subparsers[0].choices.items():
+        yield from parser_leaves(child, path + (name,))
+
+
+def test_readme_option_table_matches_the_parser():
+    """Each row of the README's option table names exactly the leaf
+    commands that declare the option, and every leaf takes --json."""
+    leaves = dict(parser_leaves(cli._build_parser()))
+    declared: dict[str, set[str]] = {}
+    for leaf, parser in leaves.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                declared.setdefault(option, set()).add(leaf)
+    assert declared["--json"] == set(leaves)
+    table = README.read_text().split("| option | read by | meaning |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert rows
+    for option, read_by in rows:
+        option = option.strip().strip("`")
+        assert set(re.findall(r"`([^`]+)`", read_by)) == declared[option], option
 
 
 # --- fuzzing ``run`` over every verb and the options it takes --------------
@@ -479,7 +548,6 @@ def cli_argv(draw):
         for flag, hi in (("--nvars", 3), ("--maxdeg", 3), ("--maxgens", 4)):
             argv += [flag, str(draw(st.integers(1, hi)))]
         optional = {
-            "--mode": st.sampled_from(("exhaustive", "sampled")),
             "--samples": st.integers(0, 5).map(str),
             "--seed": st.integers(0, 3).map(str),
             "--char": CHARS,
