@@ -507,9 +507,12 @@ def capped_divisors(I: MonomialIdeal) -> Iterator[Monomial]:
     """The divisors of lcm(G(I)): a finite set of colon representatives.
 
     Every colon ideal I : u equals I : gcd(u, lcm(G(I))), so quantifying
-    over these divisors covers "all monomials u".
+    over these divisors covers "all monomials u".  Their number,
+    prod(e_i + 1) over the exponents e_i of the lcm, is counted against
+    DEFAULT_MONOMIAL_BUDGET before any is built.
     """
     top = I.lcm_gens()
     if top is None:
         return iter(())
+    _check_enumeration("capped_divisors", math.prod(e + 1 for e in top.exps))
     return divisors(top)

@@ -11,11 +11,10 @@ a forward-direction one is a bug.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import __version__
 from .ideal import (
@@ -271,109 +270,20 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
 
 
 # ---------------------------------------------------------------------------
-# Squarefree localization equivalences, including powers
-# ---------------------------------------------------------------------------
-
-def _localizations(I: MonomialIdeal) -> Iterator[tuple[tuple[int, ...], MonomialIdeal]]:
-    """(C, I localized at C) for every substitution set C whose
-    localization is not the unit ideal, in (size, lex) order of C.
-
-    I must be nonzero: then localizing at every variable gives the unit
-    ideal, so C runs over the proper subsets only."""
-    for size in range(I.nvars):
-        for C in itertools.combinations(range(1, I.nvars + 1), size):
-            loc = localize(I, C)
-            if not loc.is_unit:
-                yield C, loc
-
-
-def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
-    """Check the matroidal localization equivalences plus the bounded
-    power versions; all conditions must agree with is_matroidal."""
-    _require_proper(I, "squarefree check")
-    if not I.is_squarefree:
-        raise ValueError("ideal is not squarefree")
-
-    a = is_matroidal(I)
-    loc12 = {"b": True, "c": True, "d": True, "e": True}
-    witnesses: dict = {}
-
-    for C, loc in _localizations(I):
-        single = is_single_degree(loc)
-        if loc12["e"] and not single:
-            loc12["e"] = False
-            witnesses["cor12.e"] = {"C": list(C)}
-        if loc12["b"] and not is_matroidal(loc):
-            loc12["b"] = False
-            witnesses["cor12.b"] = {"C": list(C)}
-        if loc12["c"]:
-            sens_ok = single and (
-                revlex_lq(loc) is not None or revlex_lq(loc, increasing=True) is not None
-            )
-            if not sens_ok:
-                loc12["c"] = False
-                witnesses["cor12.c"] = {"C": list(C)}
-        if loc12["d"] and not has_linear_resolution(loc, char):
-            loc12["d"] = False
-            witnesses["cor12.d"] = {"C": list(C)}
-
-    # powers: linear resolution / single degree of I^k(P)
-    by_subset_linear: dict[tuple[int, ...], list[bool]] = {}
-    by_subset_single: dict[tuple[int, ...], list[bool]] = {}
-    for k in range(1, kmax + 1):
-        for C, lock in _localizations(power(I, k)):
-            by_subset_linear.setdefault(C, []).append(has_linear_resolution(lock, char))
-            by_subset_single.setdefault(C, []).append(is_single_degree(lock))
-
-    cor13 = {
-        "b": all(all(v) for v in by_subset_linear.values()),
-        "c": all(any(v) for v in by_subset_linear.values()),
-        "d": all(any(v) for v in by_subset_single.values()),
-        "e": all(all(v) for v in by_subset_single.values()),
-    }
-    for key, val in cor13.items():
-        if val != a:
-            bad = {
-                "b": by_subset_linear,
-                "c": by_subset_linear,
-                "d": by_subset_single,
-                "e": by_subset_single,
-            }[key]
-            witnesses[f"cor13.{key}"] = {
-                "subsets": {str(list(C)): v for C, v in sorted(bad.items())}
-            }
-
-    agreement = all(v == a for v in loc12.values()) and all(
-        v == a for v in cor13.values()
-    )
-    return {
-        "ideal": str(I),
-        "nvars": I.nvars,
-        "char": char,
-        "kmax": kmax,
-        "matroidal": a,
-        "cor12": loc12,
-        "cor13": cor13,
-        "witnesses": witnesses,
-        "violation": not agreement,
-    }
-
-
-# ---------------------------------------------------------------------------
-# conjecture scan
+# every localization
 # ---------------------------------------------------------------------------
 
 def _localization_profile(
     I: MonomialIdeal,
-    char: int,
+    holds: Callable[[MonomialIdeal], bool],
     decided: dict[MonomialIdeal, tuple[bool, tuple[int, ...] | None]],
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether every non-unit localization of the nonzero ideal I has a
-    linear resolution, plus the first failing substitution set in
-    (size, lex) order, as ``_localizations`` walks them.
+    """Whether ``holds`` is true of every non-unit localization of the
+    nonzero ideal I, plus the first failing substitution set in
+    (size, lex) order.
 
-    Decided recursively through loc_C(I) = loc_{C - {i}}(loc_i(I)): if I
-    itself is not linear, C = () fails first.  Otherwise the first
+    Decided recursively through loc_C(I) = loc_{C - {i}}(loc_i(I)): if
+    ``holds(I)`` is false, C = () fails first.  Otherwise the first
     failing set is the least of (first failing set of loc_i(I)) + {i}
     over the variables i occurring in G(I) whose localization is not the
     unit ideal.  That set of loc_i(I) avoids i, and adding the same i to
@@ -381,29 +291,86 @@ def _localization_profile(
     candidate is the least failing set of I.  A variable not occurring in
     G(I) leaves I unchanged, so no least failing set contains one.
 
-    ``decided`` maps ideals already profiled in this scan to their
-    answers; new answers are added to it.  A ResourceLimitExceeded
-    propagates and stores nothing for the ideals being profiled; since a
-    linear ideal has all its children profiled, a budget exceeded past
-    the first failing set also raises.
+    ``decided`` maps ideals already profiled under this predicate to
+    their answers; new answers are added to it.  A ResourceLimitExceeded
+    propagates and stores nothing for the ideals being profiled; since
+    an ideal that holds has all its children profiled, a budget exceeded
+    past the first failing set also raises.
     """
     known = decided.get(I)
     if known is not None:
         return known
-    if not has_linear_resolution(I, char):
+    if not holds(I):
         first: tuple[int, ...] | None = ()
     else:
         candidates = []
         for i in sorted(set().union(*(g.support for g in I.gens))):
             loc = localize(I, (i,))
             if not loc.is_unit:
-                linear, failing = _localization_profile(loc, char, decided)
-                if not linear:
+                ok, failing = _localization_profile(loc, holds, decided)
+                if not ok:
                     candidates.append(tuple(sorted(failing + (i,))))
         first = min(candidates, key=lambda C: (len(C), C), default=None)
     decided[I] = answer = (first is None, first)
     return answer
 
+
+# ---------------------------------------------------------------------------
+# Squarefree localization equivalences, including powers
+# ---------------------------------------------------------------------------
+
+def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
+    """Check the matroidal localization equivalences plus the bounded
+    power versions; all conditions must agree with is_matroidal.
+
+    Each condition is one predicate over every non-unit localization (see
+    ``_localization_profile``), witnessed by its first failing set.  The
+    power conditions read loc_C(I^k) as loc_C(I)^k, k <= kmax.  cor12.c
+    accepts either reverse-lex convention: x1*x4, x2*x3, x2*x4, x3*x4 has
+    linear quotients only in increasing reverse lex.
+    """
+    _require_proper(I, "squarefree check")
+    if not I.is_squarefree:
+        raise ValueError("ideal is not squarefree")
+
+    def linear(J: MonomialIdeal) -> bool:
+        return has_linear_resolution(J, char)
+
+    def powers(J: MonomialIdeal) -> Iterator[MonomialIdeal]:
+        return (power(J, k) for k in range(1, kmax + 1))
+
+    predicates = {
+        "cor12": {
+            "b": is_matroidal,
+            "c": lambda J: is_single_degree(J)
+            and (revlex_lq(J) is not None or revlex_lq(J, increasing=True) is not None),
+            "d": linear,
+            "e": is_single_degree,
+        },
+        "cor13": {
+            "b": lambda J: all(map(linear, powers(J))),
+            "c": lambda J: any(map(linear, powers(J))),
+            "d": lambda J: any(map(is_single_degree, powers(J))),
+            "e": lambda J: all(map(is_single_degree, powers(J))),
+        },
+    }
+    a = is_matroidal(I)
+    record: dict = {"ideal": str(I), "nvars": I.nvars, "char": char, "kmax": kmax, "matroidal": a}
+    witnesses: dict = {}
+    for group, tests in predicates.items():
+        record[group] = {}
+        for key, holds in tests.items():
+            record[group][key], failing = _localization_profile(I, holds, {})
+            if failing is not None:
+                witnesses[f"{group}.{key}"] = {"C": list(failing)}
+    record["witnesses"] = witnesses
+    record["violation"] = any(v != a for group in predicates for v in record[group].values())
+    return record
+
+
+# ---------------------------------------------------------------------------
+# conjecture scan
+# ---------------------------------------------------------------------------
 
 def scan_conjecture(
     space: IdealSpace, char: int = 0, enum_budget: int = DEFAULT_ENUM_BUDGET
@@ -446,7 +413,9 @@ def scan_conjecture(
         item: dict = {"index": idx, "ideal": str(I), "nvars": I.nvars}
         try:
             pm, wit = is_polymatroidal(I)
-            loc_linear, failing = _localization_profile(I, char, decided)
+            loc_linear, failing = _localization_profile(
+                I, lambda J: has_linear_resolution(J, char), decided
+            )
         except ResourceLimitExceeded as exc:
             item["status"] = "skipped"
             item["skip_reason"] = str(exc)
@@ -509,7 +478,7 @@ def _check_localization_golden() -> dict:
 def _check_single_degree_localization_gap(char: int) -> dict:
     I = parse_ideal("x1^2, x1*x2, x3^2, x2*x3", 3)
     pm, wit = is_polymatroidal(I)
-    locs_single = all(is_single_degree(loc) for _, loc in _localizations(I))
+    locs_single = _localization_profile(I, is_single_degree, {})[0]
     linres = has_linear_resolution(I, char)
     ok = (not pm) and locs_single and (not linres)
     return _suite_item(
@@ -566,13 +535,10 @@ def _check_variable_localization_gap(char: int) -> dict:
     linres_I = has_linear_resolution(I, char)
     single_var = {i: _linear_or_unit(localize(I, [i]), char) for i in range(1, 5)}
     pm, _ = is_polymatroidal(I)
-    # the conjecture demands some deeper localization (or I itself) fails
-    deeper_failures = [
-        list(C)
-        for C, loc in _localizations(I)
-        if len(C) >= 2 and not has_linear_resolution(loc, char)
-    ]
-    ok = linres_I and all(single_var.values()) and not pm and bool(deeper_failures)
+    # the conjecture demands some localization fails; as I and its
+    # one-variable localizations are linear, the first failing set is deeper
+    _, failing = _localization_profile(I, lambda J: has_linear_resolution(J, char), {})
+    ok = linres_I and all(single_var.values()) and not pm and failing is not None
     return _suite_item(
         "variable-localization-gap",
         ok,
@@ -580,7 +546,7 @@ def _check_variable_localization_gap(char: int) -> dict:
             "linear_resolution": linres_I,
             "single_variable_localizations_linear": {str(k): v for k, v in single_var.items()},
             "polymatroidal": pm,
-            "failing_deeper_subsets": deeper_failures,
+            "first_failing_subset": None if failing is None else list(failing),
         },
     )
 
@@ -801,7 +767,7 @@ def _check_three_prime_intersection(char: int) -> dict:
         p | q == {1, 2, 3} for p in primes for q in primes if p != q
     )
     triple_empty = set.intersection(*primes) == set()
-    locs_linear = _localization_profile(I, char, {})[0]
+    locs_linear = _localization_profile(I, lambda J: has_linear_resolution(J, char), {})[0]
     ok = (
         is_matroidal(I)
         and not ass.has_embedded

@@ -16,7 +16,6 @@ from typing import Iterable
 from .ideal import (
     Monomial,
     MonomialIdeal,
-    ResourceLimitExceeded,
     _require_proper,
     capped_divisors,
     colon,
@@ -24,9 +23,6 @@ from .ideal import (
     power,
     prime_ideal,
 )
-
-DEFAULT_WITNESS_BUDGET = 200_000
-
 
 @dataclass(frozen=True)
 class IrreducibleComponent:
@@ -150,7 +146,7 @@ def associated_primes(I: MonomialIdeal) -> AssociatedPrimes:
     Candidates are the radicals of the irredundant irreducible
     components; a witness with I : w = P is searched among the divisors
     of lcm(G(I)), which suffice because a colon only sees exponents up to
-    the lcm; more than DEFAULT_WITNESS_BUDGET of them raise.  A candidate
+    the lcm; ``capped_divisors`` budgets their number.  A candidate
     without a witness is reported as an error, never dropped silently.
     """
     _require_proper(I, "decomposition")
@@ -158,16 +154,6 @@ def associated_primes(I: MonomialIdeal) -> AssociatedPrimes:
         {c.radical for c in irreducible_decomposition(I)},
         key=lambda p: (len(p), sorted(p)),
     )
-    search_size = 1
-    for e in I.lcm_gens().exps:
-        search_size *= e + 1
-    if search_size > DEFAULT_WITNESS_BUDGET:
-        raise ResourceLimitExceeded(
-            f"witness search over {search_size} divisors exceeds budget "
-            f"{DEFAULT_WITNESS_BUDGET}; unvalidated candidates: "
-            + "; ".join("{" + ",".join(map(str, sorted(p))) + "}" for p in candidates)
-        )
-
     witnesses: dict[frozenset[int], Monomial] = {}
     remaining = set(candidates)
     for w in capped_divisors(I):

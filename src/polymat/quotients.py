@@ -202,8 +202,10 @@ def revlex_lq(
 
     The default processes generators in decreasing revlex order, which
     gives every polymatroidal ideal linear quotients (Herzog-Takayama).
-    The increasing flag serves ``lq revlex --increasing`` and
-    ``verify_squarefree``, which accepts either convention.
+    The increasing flag serves ``lq revlex --increasing`` and condition
+    cor12.c of ``verify_squarefree``, which accepts either convention: a
+    non-polymatroidal ideal can have linear quotients only in increasing
+    order, as x1*x4, x2*x3, x2*x4, x3*x4 does.
     """
     if I.is_zero:
         raise ZeroIdealError("no generators to order")

@@ -205,13 +205,16 @@ def _linear(J: MonomialIdeal, char: int) -> bool:
     return has_linear_resolution(J, char)
 
 
-def localization_profile_by_walk(I: MonomialIdeal, char: int = 0):
-    """(every non-unit localization linear, first failing set as a list)
-    by the flat walk over every proper substitution set C in (size, lex)
-    order, each localized from I in one step."""
+def localization_profile_by_walk(I: MonomialIdeal, char: int = 0, holds=None):
+    """(``holds`` true of every non-unit localization, first failing set
+    as a list) by the flat walk over every proper substitution set C in
+    (size, lex) order, each localized from I in one step.  ``holds``
+    defaults to having a linear resolution over the characteristic."""
+    if holds is None:
+        holds = lambda J: _linear(J, char)
     for size in range(I.nvars):
         for C in itertools.combinations(range(1, I.nvars + 1), size):
             loc = localize(I, C)
-            if not loc.is_unit and not _linear(loc, char):
+            if not loc.is_unit and not holds(loc):
                 return False, list(C)
     return True, None

@@ -391,6 +391,14 @@ class TestErrors:
             assert time.perf_counter() - t0 < 1.0, argv
             assert "budget" in capsys.readouterr().err
 
+    def test_divisor_walk_over_budget_exit_3(self, capsys):
+        # 1001^2 = 1,002,001 capped divisors, counted before any is built
+        for verb in ("equiv", "ass"):
+            t0 = time.perf_counter()
+            assert run([verb, "-n", "2", "x1^1000*x2^1000"]) == 3, verb
+            assert time.perf_counter() - t0 < 1.0, verb
+            assert "capped_divisors would enumerate 1002001" in capsys.readouterr().err
+
     def test_parser_is_built_once(self, monkeypatch, capsys):
         argv = ["lq", "revlex", "-n", "2", "x1^2, x1*x2, x2^2"]
         run(argv)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymat.ideal import (
+    DEFAULT_MONOMIAL_BUDGET,
     IdealSyntaxError,
     Monomial,
     MonomialIdeal,
+    ResourceLimitExceeded,
     ZeroIdealError,
     capped_divisors,
     colon,
@@ -333,6 +335,14 @@ class TestEnumeration:
         reachable = {colon(ideal, u) for u in capped_divisors(ideal)}
         for w in monomials_up_to(3, 4):
             assert colon(ideal, w) in reachable
+
+    def test_capped_divisors_are_counted_before_any_is_built(self):
+        # prod(e_i + 1) divisors of the lcm, against the monomial budget
+        at_budget = MonomialIdeal(1, [Monomial((DEFAULT_MONOMIAL_BUDGET - 1,))])
+        capped_divisors(at_budget)
+        over = MonomialIdeal(2, [Monomial((1, DEFAULT_MONOMIAL_BUDGET // 2))])
+        with pytest.raises(ResourceLimitExceeded, match="capped_divisors would enumerate"):
+            capped_divisors(over)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from polymat.ideal import (
     is_single_degree,
     localize,
     parse_ideal,
+    power,
 )
 from polymat.lab import (
     IdealSpace,
@@ -29,7 +30,7 @@ from polymat.lab import (
     verify_equivalences,
     verify_squarefree,
 )
-from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
+from polymat.polymatroid import VeroneseParams, is_matroidal, is_polymatroidal, veronese
 from polymat.quotients import revlex_lq
 from polymat.resolution import has_linear_resolution
 
@@ -203,6 +204,72 @@ class TestVerifySquarefree:
         with pytest.raises(ValueError):
             verify_squarefree(I("x1^2", 2))
 
+    def test_increasing_revlex_rescues_condition_c(self):
+        # linear quotients only in increasing reverse lex: without the
+        # retry, cor12.c would fail at C = [] and deny I linear quotients
+        ideal = I("x1*x4, x2*x3, x2*x4, x3*x4", 4)
+        assert revlex_lq(ideal) is None and revlex_lq(ideal, increasing=True) is not None
+        rec = verify_squarefree(ideal)
+        assert rec["witnesses"]["cor12.c"] == {"C": [1]}
+        assert not rec["matroidal"] and not rec["violation"]
+
+    @staticmethod
+    def first_failures_by_walk(ideal, kmax):
+        """First failing set of each condition, walking every substitution
+        set in (size, lex) order and localizing I and each power I^k."""
+        n = ideal.nvars
+        subsets = [
+            C
+            for size in range(n)
+            for C in itertools.combinations(range(1, n + 1), size)
+            if not localize(ideal, C).is_unit
+        ]
+        powers = [power(ideal, k) for k in range(1, kmax + 1)]
+        lin = has_linear_resolution
+
+        def lq_either(J):
+            return is_single_degree(J) and (
+                revlex_lq(J) is not None or revlex_lq(J, increasing=True) is not None
+            )
+
+        at_C = {
+            "cor12.b": lambda C: is_matroidal(localize(ideal, C)),
+            "cor12.c": lambda C: lq_either(localize(ideal, C)),
+            "cor12.d": lambda C: lin(localize(ideal, C)),
+            "cor12.e": lambda C: is_single_degree(localize(ideal, C)),
+            "cor13.b": lambda C: all(lin(localize(P, C)) for P in powers),
+            "cor13.c": lambda C: any(lin(localize(P, C)) for P in powers),
+            "cor13.d": lambda C: any(is_single_degree(localize(P, C)) for P in powers),
+            "cor13.e": lambda C: all(is_single_degree(localize(P, C)) for P in powers),
+        }
+        return {
+            key: next((list(C) for C in subsets if not holds(C)), None)
+            for key, holds in at_C.items()
+        }
+
+    @pytest.mark.parametrize("n, count", [(3, 18), (4, 166)])
+    def test_conditions_match_the_walk(self, n, count):
+        pool = [
+            Monomial(tuple(int(i in c) for i in range(n)))
+            for size in range(1, n + 1)
+            for c in itertools.combinations(range(n), size)
+        ]
+        checked = 0
+        for gens in itertools.chain.from_iterable(
+            itertools.combinations(pool, r) for r in range(1, len(pool) + 1)
+        ):
+            if any(a.divides(b) for a, b in itertools.permutations(gens, 2)):
+                continue
+            ideal = MonomialIdeal(n, gens)
+            rec = verify_squarefree(ideal, kmax=2)
+            for key, first in self.first_failures_by_walk(ideal, 2).items():
+                group, cond = key.split(".")
+                assert rec[group][cond] == (first is None), (str(ideal), key)
+                witness = None if first is None else {"C": first}
+                assert rec["witnesses"].get(key) == witness, (str(ideal), key)
+            checked += 1
+        assert checked == count
+
 
 class TestScan:
     def test_exhaustive_n2_no_disagreements(self):
@@ -226,13 +293,7 @@ class TestScan:
         ]:
             ideal = veronese(params)
             assert is_polymatroidal(ideal)[0]
-            for size in range(ideal.nvars):
-                import itertools
-
-                for C in itertools.combinations(range(1, ideal.nvars + 1), size):
-                    loc = localize(ideal, C)
-                    if not loc.is_unit:
-                        assert has_linear_resolution(loc), (params, C)
+            assert localization_profile_by_walk(ideal) == (True, None), params
 
     def test_counterexample_records_self_verify(self):
         report = scan_conjecture(IdealSpace(nvars=2, maxdeg=2, maxgens=3))
@@ -276,21 +337,13 @@ class TestScanMemo:
             d = J.gens[0].degree
             return all(j == i + d for (i, j) in taylor_betti(J))
 
-        def profile_by_oracle(J):
-            for size in range(J.nvars):
-                for C in itertools.combinations(range(1, J.nvars + 1), size):
-                    loc = localize(J, C)
-                    if not loc.is_unit and not linear_by_oracle(loc):
-                        return False, list(C)
-            return True, None
-
         space = IdealSpace(nvars=3, maxdeg=2, maxgens=3)
         report = scan_conjecture(space)
         ideals = list(space_ideals(space))
         assert len(report.items) == len(ideals)
         for item, ideal in zip(report.items, ideals):
             assert item["ideal"] == str(ideal)
-            expected = profile_by_oracle(ideal)
+            expected = localization_profile_by_walk(ideal, holds=linear_by_oracle)
             assert (item["all_localizations_linear"], item["failing_subset"]) == expected, item
 
 
@@ -329,12 +382,20 @@ class TestLocalizationProfile:
             expected = localization_profile_by_walk(ideal, char)
             assert (item["all_localizations_linear"], item["failing_subset"]) == expected, item
 
+    PREDICATES = {
+        "linear-0": lambda J: has_linear_resolution(J, 0),
+        "linear-2": lambda J: has_linear_resolution(J, 2),
+        "single-degree": is_single_degree,
+        "matroidal": is_matroidal,
+    }
+
     @settings(max_examples=100, deadline=None)
-    @given(small_ideals(), st.sampled_from([0, 2]))
-    def test_profile_matches_the_walk(self, ideal, char):
-        linear, failing = lab._localization_profile(ideal, char, {})
-        got = (linear, None if failing is None else list(failing))
-        assert got == localization_profile_by_walk(ideal, char)
+    @given(small_ideals(), st.sampled_from(sorted(PREDICATES)))
+    def test_profile_matches_the_walk(self, ideal, predicate):
+        holds = self.PREDICATES[predicate]
+        ok, failing = lab._localization_profile(ideal, holds, {})
+        got = (ok, None if failing is None else list(failing))
+        assert got == localization_profile_by_walk(ideal, holds=holds)
 
     def test_scan_localizes_one_variable_at_a_time(self, monkeypatch):
         sets = []
@@ -350,8 +411,10 @@ class TestLocalizationProfile:
 
     def test_budget_past_the_first_failing_set_skips(self, monkeypatch):
         ideal = I("x3^2, x2*x3, x1*x2", 3)
+        # looked up at call time, so the patched function below is seen
+        linear = lambda J: lab.has_linear_resolution(J, 0)
         # the walk stops at (1,); the recursion also profiles loc_2 = (x1, x3)
-        assert lab._localization_profile(ideal, 0, {}) == (False, (1,))
+        assert lab._localization_profile(ideal, linear, {}) == (False, (1,))
         late = localize(ideal, [2])
         assert late == I("x1, x3", 3)
 
@@ -363,7 +426,7 @@ class TestLocalizationProfile:
         monkeypatch.setattr(lab, "has_linear_resolution", late_exceeds)
         decided = {}
         with pytest.raises(ResourceLimitExceeded):
-            lab._localization_profile(ideal, 0, decided)
+            lab._localization_profile(ideal, linear, decided)
         assert ideal not in decided and late not in decided
         assert decided[localize(ideal, [1])] == (False, ())
 
@@ -418,19 +481,11 @@ class TestPurePowersClassification:
 class TestDegreeTwoClassification:
     def test_polymatroidal_iff_localizations_linear(self):
         # degree-2 instance of the conjecture is a proved equivalence
-        import itertools
-
         for ideal in space_ideals(IdealSpace(nvars=3, maxdeg=2, maxgens=5)):
             if ideal.degrees() != (2,):
                 continue
             pm = is_polymatroidal(ideal)[0]
-            locs = True
-            for size in range(3):
-                for C in itertools.combinations(range(1, 4), size):
-                    loc = localize(ideal, C)
-                    if not loc.is_unit and not has_linear_resolution(loc):
-                        locs = False
-            assert pm == locs, str(ideal)
+            assert pm == localization_profile_by_walk(ideal)[0], str(ideal)
 
 
 class TestExampleSuite:
