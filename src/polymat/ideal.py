@@ -402,13 +402,19 @@ def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return result
 
 
+def _component_size(I: MonomialIdeal, j: int) -> int:
+    """How many monomials ``component(I, j)`` enumerates: g * w for each
+    generator g of degree at most j and each w of degree j - deg g."""
+    n = I.nvars
+    return sum(math.comb(j - g.degree + n - 1, n - 1) for g in I.gens if g.degree <= j)
+
+
 def component(I: MonomialIdeal, j: int) -> MonomialIdeal:
     """The ideal generated by all monomials of degree j lying in I."""
     if j < 0:
         raise ValueError("component degree must be non-negative")
     n = I.nvars
-    count = sum(math.comb(j - g.degree + n - 1, n - 1) for g in I.gens if g.degree <= j)
-    _check_enumeration("component", count)
+    _check_enumeration("component", _component_size(I, j))
     seen: set[tuple[int, ...]] = set()
     for g in I.gens:
         rest = j - g.degree

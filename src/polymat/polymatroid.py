@@ -19,6 +19,8 @@ from typing import Iterable, Iterator
 from .ideal import (
     Monomial,
     MonomialIdeal,
+    _check_enumeration,
+    _component_size,
     _require_proper,
     capped_exponents,
     component,
@@ -194,22 +196,42 @@ def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:
 
 
 def is_componentwise_polymatroidal(I: MonomialIdeal) -> tuple[bool, int | None]:
-    """Every graded component in the generator-degree range is polymatroidal.
+    """Every graded component I_<j> is polymatroidal; (False, j) names the
+    first that is not.
 
-    Degrees past the top generator degree d satisfy I_<j> = I_<d> * m^(j-d)
-    and follow from product closure.
+    Only the generator degrees are tested.  At any other degree j,
+    I_<j> = I_<j-1> * m, a product of polymatroidal ideals once I_<j-1>
+    is one, hence polymatroidal (Conca-Herzog 2003), so the first
+    failing degree is always a generator degree.
     """
     _require_proper(I, "predicate")
-    for j in range(I.min_degree, I.max_degree + 1):
+    for j in I.degrees():
         if not is_polymatroidal(component(I, j))[0]:
             return False, j
     return True, None
 
 
+def _veronese_components(I: MonomialIdeal) -> Iterator[tuple[int, VeroneseParams | None]]:
+    """(j, Veronese-type parameters of I_<j> or None) for every j from the
+    lowest to the highest generator degree.
+
+    Every degree is visited: I_<j-1> * m need not be of Veronese type
+    ((x1x2x3, x1x3^2, x2x3^2, x3^3) is, and its product with m lacks
+    x1^2x2^2).  Each component's monomials are counted before it is
+    built, and the walk raises ResourceLimitExceeded once their running
+    total passes DEFAULT_MONOMIAL_BUDGET.
+    """
+    total = 0
+    for j in range(I.min_degree, I.max_degree + 1):
+        total += _component_size(I, j)
+        _check_enumeration("the componentwise Veronese walk", total)
+        yield j, detect_veronese(component(I, j))
+
+
 def is_componentwise_veronese(I: MonomialIdeal) -> tuple[bool, int | None]:
     """Every graded component in the generator-degree range is of Veronese type."""
     _require_proper(I, "predicate")
-    for j in range(I.min_degree, I.max_degree + 1):
-        if detect_veronese(component(I, j)) is None:
+    for j, params in _veronese_components(I):
+        if params is None:
             return False, j
     return True, None

@@ -34,7 +34,7 @@ from .ideal import (
     is_single_degree,
     maximal_ideal,
 )
-from .polymatroid import VeroneseParams, detect_veronese, veronese
+from .polymatroid import VeroneseParams, _veronese_components, veronese
 
 DEFAULT_SEARCH_CAP = 20
 
@@ -311,8 +311,7 @@ def componentwise_veronese_lq(I: MonomialIdeal) -> LinearQuotientsCertificate | 
     """
     _require_proper(I, "componentwise chaining")
     params: dict[int, VeroneseParams] = {}
-    for j in range(I.min_degree, I.max_degree + 1):
-        pj = detect_veronese(component(I, j))
+    for j, pj in _veronese_components(I):
         if pj is None:
             return None
         params[j] = pj

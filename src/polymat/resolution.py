@@ -336,9 +336,14 @@ def has_linear_relations(
 def is_componentwise_linear(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
-    """Every component in the generator-degree range has a linear resolution."""
+    """Every graded component has a linear resolution.
+
+    Only the generator degrees are tested: at any other degree j,
+    I_<j> = I_<j-1> * m, the truncation one degree up of an ideal that
+    already has a linear resolution, which keeps it linear.
+    """
     _require_proper(I, "Betti numbers")
-    for j in range(I.min_degree, I.max_degree + 1):
+    for j in I.degrees():
         if not has_linear_resolution(component(I, j), char, budget):
             return False
     return True

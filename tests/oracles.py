@@ -54,6 +54,16 @@ def component_oracle(I: MonomialIdeal, j: int) -> set[Monomial]:
     return {w for w in monomials_of_degree(I.nvars, j) if I.contains(w)}
 
 
+def componentwise_over_full_range(I: MonomialIdeal, holds) -> tuple[bool, int | None]:
+    """(``holds`` true of every component I_<j>, first failing j), testing
+    every degree j from the lowest to the highest generator degree, each
+    component built by direct enumeration."""
+    for j in range(I.min_degree, I.max_degree + 1):
+        if not holds(MonomialIdeal(I.nvars, component_oracle(I, j))):
+            return False, j
+    return True, None
+
+
 def taylor_betti(I: MonomialIdeal, char: int = 0) -> dict[tuple[int, int], int]:
     """Betti numbers of I from Taylor-complex strand homology.
 

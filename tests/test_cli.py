@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -171,6 +172,13 @@ class TestPredicates:
         assert data["witness"] == {
             "u": "x3^2", "v": "x1*x2", "i": 3, "verdict": "violated", "j": 1
         }
+
+    def test_componentwise_predicate_answers_across_a_wide_gap(self, capsys):
+        # only the generator degrees 1 and 60 are tested
+        t0 = time.perf_counter()
+        code, data = run_json(capsys, ["check", "cw-polymatroidal", "-n", "3", "x1, x2^60"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1 and data["result"] is False and data["failing_degree"] == 60
 
     def test_zero_unit_messages_name_the_operation(self, capsys):
         for argv, noun in (
@@ -391,6 +399,12 @@ class TestErrors:
             assert time.perf_counter() - t0 < 1.0, argv
             assert "budget" in capsys.readouterr().err
 
+    def test_componentwise_veronese_walk_over_budget_exit_3(self, capsys):
+        t0 = time.perf_counter()
+        assert run(["check", "cw-veronese", "-n", "3", "x1, x2, x3^400"]) == 3
+        assert time.perf_counter() - t0 < 10.0
+        assert "componentwise Veronese walk would enumerate" in capsys.readouterr().err
+
     def test_divisor_walk_over_budget_exit_3(self, capsys):
         # 1001^2 = 1,002,001 capped divisors, counted before any is built
         for verb in ("equiv", "ass"):
@@ -439,6 +453,21 @@ def test_readme_cli_examples_run(capsys):
     for line in lines:
         assert run(shlex.split(line, comments=True)[1:]) in (0, 1), line
         capsys.readouterr()
+
+
+QUERY_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "query_reference.json"
+
+
+def test_query_reference_transcript(capsys):
+    """Every recorded single-ideal query except ``equiv`` (the slowest, which
+    the benchmark replays) prints the recorded output byte for byte."""
+    for key, expected in json.loads(QUERY_REFERENCE.read_text()).items():
+        argv = json.loads(key)
+        if argv[0] == "equiv":
+            continue
+        code = run(argv)
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert {"exit": code, "sha256": digest} == expected, argv
 
 
 def parser_leaves(parser, path=()):

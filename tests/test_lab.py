@@ -204,6 +204,25 @@ class TestVerifySquarefree:
         with pytest.raises(ValueError):
             verify_squarefree(I("x1^2", 2))
 
+    def test_linearity_is_decided_once_per_call(self, monkeypatch):
+        # cor12.d, cor13.b and cor13.c all ask for linear(J) and linear(J^k)
+        calls = []
+
+        def counting(J, char=0, *rest):
+            calls.append((J, char))
+            return has_linear_resolution(J, char, *rest)
+
+        monkeypatch.setattr(lab, "has_linear_resolution", counting)
+        for text, n in [
+            ("x1*x2, x1*x3, x2*x3", 3),
+            ("x1*x2, x3*x4", 4),
+            ("x1*x2*x3, x2*x3*x4, x1*x4", 4),
+            ("x1*x4, x2*x3, x2*x4, x3*x4", 4),
+        ]:
+            calls.clear()
+            verify_squarefree(I(text, n))
+            assert calls and len(calls) == len(set(calls)), text
+
     def test_increasing_revlex_rescues_condition_c(self):
         # linear quotients only in increasing reverse lex: without the
         # retry, cor12.c would fail at C = [] and deny I linear quotients
@@ -499,10 +518,11 @@ class TestExampleSuite:
     def test_experimental_items_labelled(self):
         report = example_suite(0)
         exp = {it["name"] for it in report.items if it["experimental"]}
-        assert exp == {
-            "experimental-Im-polymatroidal",
-            "experimental-socle-component-polymatroidal",
-        }
+        assert exp == {"experimental-socle-component-polymatroidal"}
+        # I*m is a product of polymatroidal ideals: a theorem, so required
+        (im,) = [it for it in report.items if it["name"] == "Im-polymatroidal"]
+        assert not im["experimental"] and im["passed"]
+        assert report.summary["required"] == 12 and report.summary["experimental"] == 1
 
     def test_report_is_json_serializable(self):
         report = example_suite(0)

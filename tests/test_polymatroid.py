@@ -1,6 +1,7 @@
 """Exchange-property predicates and Veronese-type constructions."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from polymat.ideal import (
     Monomial,
     MonomialIdeal,
+    ResourceLimitExceeded,
     UnitIdealError,
     ZeroIdealError,
     capped_divisors,
@@ -31,8 +33,12 @@ from polymat.polymatroid import (
     is_polymatroidal,
     veronese,
 )
+from polymat.lab import IdealSpace, space_ideals
+from polymat.quotients import componentwise_veronese_lq
+from polymat.resolution import has_linear_resolution, is_componentwise_linear
 
 from oracles import (
+    componentwise_over_full_range,
     has_nonpure_exchange_loop,
     has_strong_exchange_loop,
     is_polymatroidal_loop,
@@ -262,6 +268,30 @@ class TestComponentwise:
             )
             assert extended == is_componentwise_polymatroidal(ideal)[0]
 
+    def test_generator_degrees_match_the_full_range(self):
+        # a degree j with no minimal generator has I_<j> = I_<j-1> * m, so
+        # the first failing degree is always a generator degree
+        for ideal in space_ideals(IdealSpace(3, 3, 4)):
+            if ideal.is_unit:
+                continue
+            assert is_componentwise_polymatroidal(ideal) == componentwise_over_full_range(
+                ideal, lambda J: is_polymatroidal_loop(J)[0]
+            ), str(ideal)
+            linear = componentwise_over_full_range(ideal, has_linear_resolution)[0]
+            assert is_componentwise_linear(ideal) == linear, str(ideal)
+
+    def test_componentwise_veronese_walk_is_budgeted(self):
+        # every degree 1..400 is visited; the running total of component
+        # monomials passes DEFAULT_MONOMIAL_BUDGET near degree 84
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitExceeded, match="componentwise Veronese walk"):
+            is_componentwise_veronese(I("x1, x2, x3^400", 3))
+        with pytest.raises(ResourceLimitExceeded):
+            componentwise_veronese_lq(I("x1, x2, x3^400", 3))
+        assert time.perf_counter() - t0 < 10.0
+        # an early failing degree is still answered
+        assert is_componentwise_veronese(I("x1*x2, x1*x3^2, x2*x3^2, x3^400", 3)) == (False, 3)
+
     def test_componentwise_veronese_cases(self):
         assert is_componentwise_veronese(I("x1^2, x1*x2, x2^2, x1^3", 2))[0]
         assert not is_componentwise_veronese(I("x1*x2, x1*x3^2, x2*x3^2", 3))[0]
@@ -322,6 +352,33 @@ def exchange_ideals(draw):
             )
         )
     return MonomialIdeal(n, gens)
+
+
+@st.composite
+def degree_gap_ideals(draw):
+    """Ideals in 2 or 3 variables whose generator degrees skip at least
+    one degree: generators of degree d, and of degree d + 2 or more."""
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 2))
+    low = draw(st.lists(st.sampled_from(list(monomials_of_degree(n, d))), min_size=1, max_size=3))
+    high = draw(
+        st.lists(
+            st.integers(d + 2, d + 3).flatmap(lambda e: st.sampled_from(list(monomials_of_degree(n, e)))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return MonomialIdeal(n, low + high)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree_gap_ideals())
+def test_componentwise_predicates_match_the_full_range_across_gaps(ideal):
+    assert is_componentwise_polymatroidal(ideal) == componentwise_over_full_range(
+        ideal, lambda J: is_polymatroidal_loop(J)[0]
+    )
+    linear = componentwise_over_full_range(ideal, has_linear_resolution)[0]
+    assert is_componentwise_linear(ideal) == linear
 
 
 @settings(max_examples=100, deadline=None)
