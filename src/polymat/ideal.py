@@ -25,9 +25,9 @@ class ResourceLimitExceeded(Exception):
 DEFAULT_MONOMIAL_BUDGET = 200_000
 
 
-def _check_enumeration(what: str, count: int) -> None:
+def _check_enumeration(what: str, count: int, unit: str = "monomials") -> None:
     if count > DEFAULT_MONOMIAL_BUDGET:
-        raise ResourceLimitExceeded(f"{what} would enumerate {count} > {DEFAULT_MONOMIAL_BUDGET} monomials")
+        raise ResourceLimitExceeded(f"{what} would enumerate {count} > {DEFAULT_MONOMIAL_BUDGET} {unit}")
 
 
 class ZeroIdealError(ValueError):

@@ -11,6 +11,7 @@ a forward-direction one is a bug.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -341,8 +342,11 @@ def verify_squarefree(I: MonomialIdeal, kmax: int = 3, char: int = 0) -> dict:
             decided_linear[J] = has_linear_resolution(J, char)
         return decided_linear[J]
 
+    # cor13.b, c, d and e all raise the same localizations to the same powers
+    power_of = functools.cache(power)
+
     def powers(J: MonomialIdeal) -> Iterator[MonomialIdeal]:
-        return (power(J, k) for k in range(1, kmax + 1))
+        return (power_of(J, k) for k in range(1, kmax + 1))
 
     predicates = {
         "cor12": {

@@ -16,6 +16,7 @@ from typing import Iterable
 from .ideal import (
     Monomial,
     MonomialIdeal,
+    _check_enumeration,
     _require_proper,
     capped_divisors,
     colon,
@@ -109,6 +110,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
     then lcm(u, v) lies in Q, so max(u_i, v_i) >= a_i for some i in A and
     u or v lies in Q after all.  Hence J1 or J2 lies in Q, and the other
     components meet inside Q_k exactly when one of them lies in Q_k.
+    The ideals the split visits, and the C*(C-1) pairs the pruning
+    compares among C components, are counted as they accrue against
+    ``ideal.DEFAULT_MONOMIAL_BUDGET``.
     """
     _require_proper(I, "decomposition")
 
@@ -120,6 +124,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
         if J in seen:
             continue
         seen.add(J)
+        _check_enumeration("irreducible decomposition", len(seen), "split ideals")
         split = _split_once(J)
         if split is None:
             components.add(
@@ -127,6 +132,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
                     {i + 1: e for g in J.gens for i, e in enumerate(g.exps) if e}
                 )
             )
+            c = len(components)
+            _check_enumeration("irreducible decomposition", c * (c - 1), "component pairs")
         else:
             stack.extend(split)
 

@@ -28,8 +28,6 @@ from .ideal import (
     ZeroIdealError,
     _minimal_sorted,
     _require_proper,
-    capped_exponents,
-    component,
     ideal_product,
     is_single_degree,
     maximal_ideal,
@@ -221,23 +219,22 @@ def revlex_lq(
 # extension by linear quotients between Veronese-type ideals
 # ---------------------------------------------------------------------------
 
-def _lex_desc_key(exps: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-e for e in exps)
-
-
 def extend_lq_veronese(
     p: VeroneseParams, q: VeroneseParams
 ) -> LinearQuotientsCertificate:
     """Extend I*m by linear quotients to J, for Veronese I of degree d and
     Veronese J of degree d+1 with I*m contained in J.
 
-    Stage 1 appends the generators of the cap-raised ideal of degree d+1
-    (caps a_i + 1) that are new over I*m, ordered by: fewer variables at
-    their raised cap first, then the raised-cap part lex-descending, then
-    the whole monomial lex-descending.  Stage 2 raises one cap at a time
-    up to the caps of J (in variable order), appending each batch of new
-    generators lex-descending.  The produced order is verified step by
-    step; failure would falsify the construction and raises.
+    The generators of J outside G(I*m) are appended in the order of a
+    two-stage construction, written as one sort key.  Stage 1 adds those
+    with every u_i <= a_i + 1 (the caps of I raised by one), keyed on
+    (0, the number of i with u_i = a_i + 1, that raised part, u).  Stage 2
+    raises the caps to those of J one at a time, in variable order, and
+    appends each batch.  A u with some u_i > a_i + 1 enters at the raise
+    of cap s to u_s, for the last such s, because the earlier caps are
+    then those of J and the later ones still a + 1; it keys on
+    (1, s, u_s, u).  Parts and u sort lex-descending.  The order is
+    verified step by step; a failure would falsify the construction.
     """
     n = p.nvars
     if q.nvars != n:
@@ -245,51 +242,26 @@ def extend_lq_veronese(
     if q.d != p.d + 1:
         raise ValueError("target degree must be the source degree plus one")
 
-    I = veronese(p)
-    j_gens = set(veronese(q).gens)
-    Im = ideal_product(I, maximal_ideal(n))
+    Im = ideal_product(veronese(p), maximal_ideal(n))
     im_gens = set(Im.gens)
+    j_gens = set(veronese(q).gens)
     # both ideals are generated in degree d+1, so containment is inclusion
     # of the generator sets
     if not im_gens <= j_gens:
         raise ValueError("precondition violated: I*m is not contained in J")
 
-    # stage 1: up to caps a_i + 1
-    stage1_params = VeroneseParams(q.d, tuple(a + 1 for a in p.caps))
-    L = veronese(stage1_params)
+    raised = tuple(a + 1 for a in p.caps)
 
-    def raised_set(u: Monomial) -> tuple[int, ...]:
-        return tuple(
-            i for i, (h, a) in enumerate(zip(u.exps, p.caps)) if h == a + 1
-        )
+    def key(u: Monomial):
+        desc = tuple(-e for e in u.exps)
+        above = [i for i, (e, c) in enumerate(zip(u.exps, raised)) if e > c]
+        if above:
+            return (1, above[-1], u.exps[above[-1]], desc)
+        at_cap = [e == c for e, c in zip(u.exps, raised)]
+        part = tuple(-e if hit else 0 for e, hit in zip(u.exps, at_cap))
+        return (0, sum(at_cap), part, desc)
 
-    def stage1_key(u: Monomial):
-        s = raised_set(u)
-        bar = tuple(e if i in s else 0 for i, e in enumerate(u.exps))
-        return (len(s), _lex_desc_key(bar), _lex_desc_key(u.exps))
-
-    stage1 = sorted((u for u in L.gens if u not in im_gens), key=stage1_key)
-
-    # stage 2: raise caps one at a time, in variable order, toward q.caps
-    appended = list(stage1)
-    current = set(L.gens)
-    caps = [a + 1 for a in p.caps]
-    for s in range(n):
-        target = min(q.caps[s], q.d)
-        while caps[s] < target:
-            # the new generators have x_s at the raised cap c and their
-            # other exponents within the current caps
-            c = caps[s] = caps[s] + 1
-            others = caps[:s] + [0] + caps[s + 1:]
-            batch = [
-                Monomial(e[:s] + (c,) + e[s + 1:])
-                for e in reversed(list(capped_exponents(q.d - c, others)))
-            ]
-            appended.extend(batch)
-            current.update(batch)
-    if current != j_gens:
-        raise AssertionError("cap raising did not terminate at the target ideal")
-
+    appended = sorted(j_gens - im_gens, key=key)
     cert, failed_at = check_lq_order(Im, appended)
     if cert is None:
         raise AssertionError(
@@ -316,7 +288,7 @@ def componentwise_veronese_lq(I: MonomialIdeal) -> LinearQuotientsCertificate | 
             return None
         params[j] = pj
 
-    order = revlex_order(component(I, I.min_degree).gens)
+    order = revlex_order(g for g in I.gens if g.degree == I.min_degree)
     for j in range(I.min_degree, I.max_degree):
         order.extend(extend_lq_veronese(params[j], params[j + 1]).appended)
 

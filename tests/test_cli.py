@@ -413,6 +413,16 @@ class TestErrors:
             assert time.perf_counter() - t0 < 1.0, verb
             assert "capped_divisors would enumerate 1002001" in capsys.readouterr().err
 
+    def test_decomposition_over_budget_exit_3(self, capsys):
+        # the 13-edge matching has 2^13 components; the pruning would
+        # compare 448 * 447 pairs once 448 of them have accrued
+        matching = ", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(13))
+        for verb in ("irrdecomp", "ass"):
+            t0 = time.perf_counter()
+            assert run([verb, "-n", "26", matching]) == 3, verb
+            assert time.perf_counter() - t0 < 2.0, verb
+            assert "200256 > 200000 component pairs" in capsys.readouterr().err
+
     def test_parser_is_built_once(self, monkeypatch, capsys):
         argv = ["lq", "revlex", "-n", "2", "x1^2, x1*x2, x2^2"]
         run(argv)

@@ -223,6 +223,20 @@ class TestVerifySquarefree:
             verify_squarefree(I(text, n))
             assert calls and len(calls) == len(set(calls)), text
 
+    def test_powers_are_built_once_per_call(self, monkeypatch):
+        # cor13.b, c, d and e all raise the same localizations to powers
+        calls = []
+
+        def counting(J, k):
+            calls.append((J, k))
+            return power(J, k)
+
+        monkeypatch.setattr(lab, "power", counting)
+        for text, n in [("x1*x2, x1*x3, x2*x3", 3), ("x1*x2*x3, x2*x3*x4, x1*x4", 4)]:
+            calls.clear()
+            verify_squarefree(I(text, n))
+            assert calls and len(calls) == len(set(calls)), text
+
     def test_increasing_revlex_rescues_condition_c(self):
         # linear quotients only in increasing reverse lex: without the
         # retry, cor12.c would fail at C = [] and deny I linear quotients

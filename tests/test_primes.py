@@ -1,11 +1,15 @@
 """Irreducible decomposition, associated primes, and transversal ideals."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polymat import ideal as ideal_module
 from polymat.ideal import (
     Monomial,
     MonomialIdeal,
+    ResourceLimitExceeded,
     ZeroIdealError,
     colon,
     divisors,
@@ -82,6 +86,25 @@ class TestIrreducibleDecomposition:
     def test_rejects_zero_unit(self):
         with pytest.raises(ZeroIdealError):
             irreducible_decomposition(I("", 2))
+
+    def test_component_pairs_are_budgeted(self):
+        # a matching of e edges has 2^e components: 256 * 255 pairs are
+        # within the budget, 448 * 447 of the 9-edge matching's 512 are not
+        def matching(e):
+            return I(", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(e)), 2 * e)
+
+        assert len(irreducible_decomposition(matching(8))) == 256
+        for decompose in (irreducible_decomposition, associated_primes):
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceLimitExceeded, match="200256 > 200000 component pairs"):
+                decompose(matching(9))
+            assert time.perf_counter() - t0 < 2.0, decompose
+
+    def test_split_ideals_are_budgeted(self, monkeypatch):
+        monkeypatch.setattr(ideal_module, "DEFAULT_MONOMIAL_BUDGET", 1)
+        with pytest.raises(ResourceLimitExceeded, match="2 > 1 split ideals"):
+            irreducible_decomposition(I("x1*x2", 2))
+        assert len(irreducible_decomposition(I("x1^2, x2", 2))) == 1
 
     def test_component_validation(self):
         with pytest.raises(ValueError):

@@ -192,6 +192,21 @@ class TestExtendVeronese:
         assert [str(v) for v in cert.appended] == ["x1^3"]
         assert [sorted(s) for s in cert.steps] == [[2]]
 
+    def test_order_is_pinned(self):
+        # the two-stage construction's orders: stage 1 (every u_i <= a_i + 1),
+        # then stage 2 (caps raised one at a time, in variable order)
+        cases = [
+            ((2, (0, 1, 2)), (3, (3, 3, 3)),
+             ["x1*x2^2", "x1^2*x2", "x1^2*x3", "x1^3", "x2^3"]),
+            ((3, (1, 1, 1, 1)), (4, (3, 2, 3, 4)),
+             ["x1^2*x2^2", "x1^2*x3^2", "x1^2*x4^2", "x2^2*x3^2", "x2^2*x4^2",
+              "x3^2*x4^2", "x1^3*x2", "x1^3*x3", "x1^3*x4", "x1*x3^3", "x2*x3^3",
+              "x3^3*x4", "x1*x4^3", "x2*x4^3", "x3*x4^3", "x4^4"]),
+        ]
+        for p, q, order in cases:
+            cert = extend_lq_veronese(VeroneseParams(*p), VeroneseParams(*q))
+            assert [str(v) for v in cert.appended] == order, (p, q)
+
     def test_trivial_extension(self):
         cert = extend_lq_veronese(VeroneseParams(2, (2, 2)), VeroneseParams(3, (3, 3)))
         assert cert.appended == ()
