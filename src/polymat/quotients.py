@@ -12,8 +12,22 @@ is generated by the quotients g_k / gcd(g_k, v), whose supports are
 degree 1.  The colon is generated by variables exactly when every
 quotient's support meets S, and then S is its variable set.  A quotient
 equal to 1 (g_k divides v) meets nothing and fails the step; no
-predecessors give the zero colon and the empty step.  The cost is
-O(N*n) per step.
+predecessors give the zero colon and the empty step.
+
+The test runs on int bitmasks over the positions of the whole sequence,
+built once per sequence in O(N*deg): ``gt[i][t]`` holds the positions k
+with g_k,i > t.  With P the mask of the predecessors, A_i = gt[i][v_i] & P
+holds those whose quotient involves x_i.  The step fails when the A_i do
+not cover P (some predecessor divides v).  A predecessor lies in exactly
+one A_i and outside gt[i][v_i + 1] exactly when its quotient is x_i, so
+S is read off from the bits of A_i & ~gt[i][v_i + 1] that lie in no
+other A_j, and the step is linear exactly when the A_i over S cover P.
+That is O(n) int operations per step, whatever the number of
+predecessors.  The same masks check that a sequence is a minimal
+generating set: the positions in no gt[i][g_k,i] are g_k and its
+divisors.  ``check_lq_order`` (and with it ``verify()``) and
+``find_lq_order`` run that check; ``revlex_lq`` orders G(I), which the
+``MonomialIdeal`` invariant already keeps minimal, and skips it.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     ZeroIdealError,
-    _minimal_sorted,
     _require_proper,
     ideal_product,
     is_single_degree,
@@ -70,34 +83,94 @@ class LinearQuotientsCertificate:
         }
 
 
+def _masks(seq: Sequence[Monomial]) -> list[list[int]]:
+    """``gt[i][t]``: the positions k of ``seq`` with seq[k]_i > t, as an int
+    bitmask, for t from 0 to one above the largest exponent of x_(i+1)."""
+    gt = []
+    for col in zip(*(g.exps for g in seq)):
+        above = [0] * (max(col) + 2)
+        for k, e in enumerate(col):
+            if e:
+                above[e - 1] |= 1 << k
+        for t in range(len(above) - 2, -1, -1):
+            above[t] |= above[t + 1]
+        gt.append(above)
+    return gt
+
+
+def _mask_step(
+    gt: list[list[int]], ve: tuple[int, ...], preds: int
+) -> frozenset[int] | None:
+    """The variables (1-based) generating the colon of the positions in
+    ``preds`` by the sequence member with exponents ``ve``, or None when
+    that colon is not generated by variables."""
+    if not preds:
+        return frozenset()  # no predecessors: the zero colon
+    above = [col[e] & preds for col, e in zip(gt, ve)]
+    once = twice = 0
+    for a in above:
+        twice |= once & a
+        once |= a
+    if once != preds:
+        return None  # a predecessor divides v: the colon is the unit ideal
+    step = []
+    covered = 0
+    for i, (a, col, e) in enumerate(zip(above, gt, ve)):
+        if a & ~(col[e + 1] | twice):
+            step.append(i + 1)
+            covered |= a
+    if covered != preds:
+        return None  # some quotient's support misses S
+    return frozenset(step)
+
+
 def _lq_step(current: Sequence[Monomial], v: Monomial) -> frozenset[int] | None:
     """The variables (1-based) generating (current) : v, or None when that
     colon is not generated by variables."""
-    ve = v.exps
-    step: set[int] = set()
-    wider: list[list[int]] = []
-    for g in current:
-        supp = [i for i, e in enumerate(g.exps) if e > ve[i]]
-        if len(supp) == 1 and g.exps[supp[0]] == ve[supp[0]] + 1:
-            step.add(supp[0])
-        elif supp:
-            wider.append(supp)
-        else:
-            return None  # g divides v: the colon is the unit ideal
-    if any(step.isdisjoint(supp) for supp in wider):
-        return None
-    return frozenset(i + 1 for i in step)
+    return _mask_step(_masks((*current, v)), v.exps, (1 << len(current)) - 1)
 
 
-def _check_joint_minimality(base: MonomialIdeal, order: Sequence[Monomial]) -> None:
-    combined = tuple(base.gens) + tuple(order)
-    for g in combined:
-        if g.nvars != base.nvars:
-            raise ValueError("nvars mismatch in generator sequence")
-    if len(set(combined)) != len(combined):
+def _sequence_masks(
+    base: MonomialIdeal, order: tuple[Monomial, ...]
+) -> list[list[int]]:
+    """The masks of base + order, after checking that the sequence is a
+    minimal generating set in the base's number of variables."""
+    seq = base.gens + order
+    if any(g.nvars != base.nvars for g in seq):
+        raise ValueError("nvars mismatch in generator sequence")
+    if len({g.exps for g in seq}) != len(seq):
         raise ValueError("generator sequence contains duplicates")
-    if set(_minimal_sorted(combined)) != set(combined):
-        raise ValueError("base plus order is not a minimal generating set")
+    gt = _masks(seq)
+    everything = (1 << len(seq)) - 1
+    for k, g in enumerate(seq):
+        # the positions in no gt[i][g_i] are g itself and its divisors
+        divisors = everything ^ 1 << k
+        for col, e in zip(gt, g.exps):
+            divisors &= ~col[e]
+        if divisors:
+            raise ValueError("base plus order is not a minimal generating set")
+    return gt
+
+
+def _step_through(
+    base: MonomialIdeal,
+    order: tuple[Monomial, ...],
+    gt: list[list[int]] | None = None,
+) -> tuple[LinearQuotientsCertificate | None, int | None]:
+    """Step through ``order`` after ``base``.  ``gt`` are the masks of
+    base + order; when not given they are built at the first step that has
+    predecessors, so a lone generator over the zero ideal builds none."""
+    nb = len(base.gens)
+    steps: list[frozenset[int]] = []
+    for pos, v in enumerate(order):
+        preds = (1 << (nb + pos)) - 1
+        if gt is None and preds:
+            gt = _masks(base.gens + order)
+        step = _mask_step(gt, v.exps, preds)
+        if step is None:
+            return None, pos
+        steps.append(step)
+    return LinearQuotientsCertificate(base, order, tuple(steps)), None
 
 
 def check_lq_order(
@@ -106,16 +179,7 @@ def check_lq_order(
     """Verify a proposed order; returns (certificate, None) on success,
     (None, first failing position) otherwise."""
     order = tuple(order)
-    _check_joint_minimality(base, order)
-    current = list(base.gens)
-    steps: list[frozenset[int]] = []
-    for pos, v in enumerate(order):
-        step = _lq_step(current, v)
-        if step is None:
-            return None, pos
-        steps.append(step)
-        current.append(v)
-    return LinearQuotientsCertificate(base, order, tuple(steps)), None
+    return _step_through(base, order, _sequence_masks(base, order))
 
 
 def find_lq_order(
@@ -128,42 +192,46 @@ def find_lq_order(
     Whether a generator can come next depends only on the set of already
     placed generators, so the search walks subsets depth-first with a
     memo of dead subsets; the first success in canonical candidate order
-    is returned, making the result deterministic.
+    is returned, making the result deterministic.  Subsets are int
+    bitmasks over the candidates, and each step is one mask step over the
+    masks of base plus candidates, built once: O(n) int operations per
+    tried candidate.
     """
     pool = sorted(set(gens), key=Monomial._key)
     if len(pool) > max_gens:
         raise ResourceLimitExceeded(
             f"{len(pool)} generators exceed the search cap of {max_gens}"
         )
-    _check_joint_minimality(base, pool)
-
-    dead: set[frozenset[int]] = set()
-    base_gens = tuple(base.gens)
+    nb = len(base.gens)
+    gt = _sequence_masks(base, tuple(pool))
+    base_mask = (1 << nb) - 1
+    everything = (1 << len(pool)) - 1
+    dead: set[int] = set()
     order: list[Monomial] = []
     steps: list[frozenset[int]] = []
 
-    def extend(placed: frozenset[int]) -> bool:
-        if len(placed) == len(pool):
+    def extend(placed: int) -> bool:
+        if placed == everything:
             return True
         if placed in dead:
             return False
-        current = base_gens + tuple(pool[i] for i in sorted(placed))
+        preds = base_mask | placed << nb
         for idx, v in enumerate(pool):
-            if idx in placed:
+            if placed >> idx & 1:
                 continue
-            step = _lq_step(current, v)
+            step = _mask_step(gt, v.exps, preds)
             if step is None:
                 continue
             order.append(v)
             steps.append(step)
-            if extend(placed | {idx}):
+            if extend(placed | 1 << idx):
                 return True
             order.pop()
             steps.pop()
         dead.add(placed)
         return False
 
-    if extend(frozenset()):
+    if extend(0):
         return LinearQuotientsCertificate(base, tuple(order), tuple(steps))
     return None
 
@@ -209,9 +277,10 @@ def revlex_lq(
         raise ZeroIdealError("no generators to order")
     if not is_single_degree(I):
         raise ValueError("revlex linear quotients require a single generator degree")
-    cert, _ = check_lq_order(
-        MonomialIdeal._raw(I.nvars, ()), revlex_order(I.gens, increasing)
-    )
+    # G(I) is a minimal generating set by the MonomialIdeal invariant, so
+    # unlike check_lq_order this steps without validating the sequence
+    order = tuple(revlex_order(I.gens, increasing))
+    cert, _ = _step_through(MonomialIdeal._raw(I.nvars, ()), order)
     return cert
 
 

@@ -117,6 +117,19 @@ class TestFindOrder:
         with pytest.raises(ResourceLimitExceeded):
             find_lq_order(zero(3), gens, max_gens=5)
 
+    def test_order_is_pinned(self):
+        # the first success in canonical candidate order, step sets included
+        cases = [
+            (parse_generators("x1*x2, x1*x3^2, x2*x3^2", 3),
+             ["x1*x2", "x2*x3^2", "x1*x3^2"], [[], [1], [2]]),
+            (veronese(VeroneseParams(2, (2, 1, 1))).gens,
+             ["x2*x3", "x1*x3", "x1*x2", "x1^2"], [[], [2], [3], [2, 3]]),
+        ]
+        for gens, order, steps in cases:
+            cert = find_lq_order(zero(3), gens)
+            assert [str(v) for v in cert.appended] == order
+            assert [sorted(s) for s in cert.steps] == steps
+
     def test_deterministic(self):
         gens = parse_generators("x1*x2, x1*x3^2, x2*x3^2", 3)
         a = find_lq_order(zero(3), gens)
@@ -363,18 +376,60 @@ def test_step_test_matches_colon(case):
     assert _lq_step(current, v) == _colon_variables(MonomialIdeal(n, current), v)
 
 
+def _colon_steps(base, order):
+    """The variable set of every step of ``order`` after ``base``, by colons."""
+    return [
+        _colon_variables(MonomialIdeal(base.nvars, base.gens + tuple(order[:k])), v)
+        for k, v in enumerate(order)
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(lq_sequences())
 def test_check_order_matches_primitive_oracle(case):
     base, order = case
     cert, failed_at = check_lq_order(base, order)
     assert (cert is not None) == lq_order_ok_primitive(base, order)
+    colons = _colon_steps(base, order)
     if cert is None:
+        # the reported position is the first step whose colon is not linear
+        assert failed_at == colons.index(None)
         return
     assert failed_at is None and cert.verify()
-    for k, v in enumerate(order):
-        current = MonomialIdeal(base.nvars, base.gens + tuple(order[:k]))
-        assert cert.steps[k] == _colon_variables(current, v)
+    assert list(cert.steps) == colons
+
+
+@pytest.mark.parametrize("increasing", [False, True])
+@pytest.mark.parametrize(
+    "ideal",
+    [power(maximal_ideal(5), 4), veronese(VeroneseParams(3, (2, 0, 3, 1)))],
+    ids=["m^4 in 5 variables", "Veronese with a zero cap"],
+)
+def test_wide_sequences_step_like_the_colon(ideal, increasing):
+    # m^4 in 5 variables has 70 generators, so the masks pass 64 bits, and
+    # its steps meet exponents at the top of each variable; the zero cap
+    # gives a variable whose exponent is 0 throughout
+    order = revlex_order(ideal.gens, increasing)
+    colons = _colon_steps(zero(ideal.nvars), order)
+    cert, failed_at = check_lq_order(zero(ideal.nvars), order)
+    if None in colons:
+        assert cert is None and failed_at == colons.index(None)
+    else:
+        assert failed_at is None and list(cert.steps) == colons
+    assert [_lq_step(order[:k], v) for k, v in enumerate(order)] == colons
+    if not increasing:
+        assert revlex_lq(ideal) == cert
+
+
+def test_search_after_a_wide_base():
+    # I*m has 65 generators for I = I_(3;2,2,2,2,2); the search places the
+    # five fourth powers after it, with predecessor masks past 64 bits
+    p, q = VeroneseParams(3, (2,) * 5), VeroneseParams(4, (4,) * 5)
+    base = ideal_product(veronese(p), maximal_ideal(5))
+    assert len(base.gens) == 65
+    cert = find_lq_order(base, extend_lq_veronese(p, q).appended)
+    assert cert is not None and cert.verify()
+    assert list(cert.steps) == _colon_steps(base, cert.appended)
 
 
 @st.composite
@@ -392,3 +447,15 @@ def test_revlex_order_matches_pairwise_definition(gens):
     assert sorted(order) == sorted(gens)
     assert all(revlex_greater(u, v) for u, v in zip(order, order[1:]))
     assert revlex_order(gens, increasing=True) == order[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_degree_sets(), st.booleans())
+def test_revlex_certificates_verify(gens, increasing):
+    # revlex_lq steps G(I) without re-validating it; verify() runs the
+    # full check_lq_order on the certificate's own data
+    ideal = MonomialIdeal(gens[0].nvars, gens)
+    cert = revlex_lq(ideal, increasing)
+    expected, _ = check_lq_order(zero(ideal.nvars), revlex_order(ideal.gens, increasing))
+    assert cert == expected
+    assert cert is None or cert.verify()
