@@ -15,19 +15,20 @@ equal to 1 (g_k divides v) meets nothing and fails the step; no
 predecessors give the zero colon and the empty step.
 
 The test runs on int bitmasks over the positions of the whole sequence,
-built once per sequence in O(N*deg): ``gt[i][t]`` holds the positions k
-with g_k,i > t.  With P the mask of the predecessors, A_i = gt[i][v_i] & P
-holds those whose quotient involves x_i.  The step fails when the A_i do
-not cover P (some predecessor divides v).  A predecessor lies in exactly
-one A_i and outside gt[i][v_i + 1] exactly when its quotient is x_i, so
-S is read off from the bits of A_i & ~gt[i][v_i + 1] that lie in no
-other A_j, and the step is linear exactly when the A_i over S cover P.
+built once per sequence in O(N*n), whatever the size of the exponents:
+``gt[i][t]`` holds the positions k with g_k,i > t, for each exponent t
+of x_(i+1) that occurs in the sequence and for t + 1.  With P the mask
+of the predecessors, A_i = gt[i][v_i] & P holds those whose quotient
+involves x_i.  The step fails when the A_i do not cover P (some
+predecessor divides v).  A predecessor lies in exactly one A_i and
+outside gt[i][v_i + 1] exactly when its quotient is x_i, so S is read off
+from the bits of A_i & ~gt[i][v_i + 1] that lie in no other A_j, and the
+step is linear exactly when the A_i over S cover P.
 That is O(n) int operations per step, whatever the number of
-predecessors.  The same masks check that a sequence is a minimal
-generating set: the positions in no gt[i][g_k,i] are g_k and its
-divisors.  ``check_lq_order`` (and with it ``verify()``) and
-``find_lq_order`` run that check; ``revlex_lq`` orders G(I), which the
-``MonomialIdeal`` invariant already keeps minimal, and skips it.
+predecessors.  ``check_lq_order`` (and with it ``verify()``) and
+``find_lq_order`` first check that the sequence is a minimal generating
+set; ``revlex_lq`` orders G(I), which the ``MonomialIdeal`` invariant
+already keeps minimal, and skips that check.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     ZeroIdealError,
+    _minimal_sorted,
     _require_proper,
     ideal_product,
     is_single_degree,
@@ -83,23 +85,32 @@ class LinearQuotientsCertificate:
         }
 
 
-def _masks(seq: Sequence[Monomial]) -> list[list[int]]:
+def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
     """``gt[i][t]``: the positions k of ``seq`` with seq[k]_i > t, as an int
-    bitmask, for t from 0 to one above the largest exponent of x_(i+1)."""
+    bitmask, for every exponent t of x_(i+1) in ``seq`` and every t + 1.
+
+    The keys are the exponents that occur, so the build is O(N*n) with a
+    sort of each column's distinct exponents, whatever their size.
+    """
     gt = []
     for col in zip(*(g.exps for g in seq)):
-        above = [0] * (max(col) + 2)
+        at: dict[int, int] = {}
         for k, e in enumerate(col):
-            if e:
-                above[e - 1] |= 1 << k
-        for t in range(len(above) - 2, -1, -1):
-            above[t] |= above[t + 1]
+            at[e] = at.get(e, 0) | 1 << k
+        above: dict[int, int] = {}
+        higher = 0  # the positions with exponent above e
+        for e in sorted(at, reverse=True):
+            # when e + 1 occurs it is already set; otherwise the positions
+            # above e + 1 are those above e
+            above.setdefault(e + 1, higher)
+            above[e] = higher
+            higher |= at[e]
         gt.append(above)
     return gt
 
 
 def _mask_step(
-    gt: list[list[int]], ve: tuple[int, ...], preds: int
+    gt: list[dict[int, int]], ve: tuple[int, ...], preds: int
 ) -> frozenset[int] | None:
     """The variables (1-based) generating the colon of the positions in
     ``preds`` by the sequence member with exponents ``ve``, or None when
@@ -124,47 +135,30 @@ def _mask_step(
     return frozenset(step)
 
 
-def _lq_step(current: Sequence[Monomial], v: Monomial) -> frozenset[int] | None:
-    """The variables (1-based) generating (current) : v, or None when that
-    colon is not generated by variables."""
-    return _mask_step(_masks((*current, v)), v.exps, (1 << len(current)) - 1)
-
-
-def _sequence_masks(
-    base: MonomialIdeal, order: tuple[Monomial, ...]
-) -> list[list[int]]:
-    """The masks of base + order, after checking that the sequence is a
-    minimal generating set in the base's number of variables."""
-    seq = base.gens + order
-    if any(g.nvars != base.nvars for g in seq):
-        raise ValueError("nvars mismatch in generator sequence")
-    if len({g.exps for g in seq}) != len(seq):
+def _check_joint_minimality(base: MonomialIdeal, order: Sequence[Monomial]) -> None:
+    combined = tuple(base.gens) + tuple(order)
+    for g in combined:
+        if g.nvars != base.nvars:
+            raise ValueError("nvars mismatch in generator sequence")
+    if len(set(combined)) != len(combined):
         raise ValueError("generator sequence contains duplicates")
-    gt = _masks(seq)
-    everything = (1 << len(seq)) - 1
-    for k, g in enumerate(seq):
-        # the positions in no gt[i][g_i] are g itself and its divisors
-        divisors = everything ^ 1 << k
-        for col, e in zip(gt, g.exps):
-            divisors &= ~col[e]
-        if divisors:
-            raise ValueError("base plus order is not a minimal generating set")
-    return gt
+    if set(_minimal_sorted(combined)) != set(combined):
+        raise ValueError("base plus order is not a minimal generating set")
 
 
 def _step_through(
-    base: MonomialIdeal,
-    order: tuple[Monomial, ...],
-    gt: list[list[int]] | None = None,
+    base: MonomialIdeal, order: tuple[Monomial, ...]
 ) -> tuple[LinearQuotientsCertificate | None, int | None]:
-    """Step through ``order`` after ``base``.  ``gt`` are the masks of
-    base + order; when not given they are built at the first step that has
-    predecessors, so a lone generator over the zero ideal builds none."""
+    """Step through ``order`` after ``base``.  The masks of base + order
+    are built at the first step that has predecessors, so a lone
+    generator over the zero ideal, as in most colons ``revlex_lq`` sees
+    from the equivalence checks, builds none."""
     nb = len(base.gens)
+    gt = None
     steps: list[frozenset[int]] = []
     for pos, v in enumerate(order):
         preds = (1 << (nb + pos)) - 1
-        if gt is None and preds:
+        if preds and gt is None:
             gt = _masks(base.gens + order)
         step = _mask_step(gt, v.exps, preds)
         if step is None:
@@ -179,7 +173,8 @@ def check_lq_order(
     """Verify a proposed order; returns (certificate, None) on success,
     (None, first failing position) otherwise."""
     order = tuple(order)
-    return _step_through(base, order, _sequence_masks(base, order))
+    _check_joint_minimality(base, order)
+    return _step_through(base, order)
 
 
 def find_lq_order(
@@ -202,8 +197,9 @@ def find_lq_order(
         raise ResourceLimitExceeded(
             f"{len(pool)} generators exceed the search cap of {max_gens}"
         )
+    _check_joint_minimality(base, pool)
     nb = len(base.gens)
-    gt = _sequence_masks(base, tuple(pool))
+    gt = _masks(base.gens + tuple(pool))
     base_mask = (1 << nb) - 1
     everything = (1 << len(pool)) - 1
     dead: set[int] = set()

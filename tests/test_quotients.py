@@ -22,7 +22,8 @@ from polymat.ideal import (
 from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
 from polymat.quotients import (
     LinearQuotientsCertificate,
-    _lq_step,
+    _mask_step,
+    _masks,
     check_lq_order,
     componentwise_veronese_lq,
     extend_lq_veronese,
@@ -361,6 +362,11 @@ def lq_sequences(draw):
     return MonomialIdeal(n, gens[:k]), gens[k:]
 
 
+def _lq_step(current, v):
+    """The mask step for (current) : v, on the masks of current plus v."""
+    return _mask_step(_masks((*current, v)), v.exps, (1 << len(current)) - 1)
+
+
 def _colon_variables(ideal, v):
     """The variable set of ideal : v, or None when it is not generated by variables."""
     J = colon(ideal, v)
@@ -430,6 +436,24 @@ def test_search_after_a_wide_base():
     cert = find_lq_order(base, extend_lq_veronese(p, q).appended)
     assert cert is not None and cert.verify()
     assert list(cert.steps) == _colon_steps(base, cert.appended)
+
+
+def test_huge_exponents_step_in_generator_count_time():
+    # the masks are keyed by the exponents that occur, so an exponent of
+    # 10^9 costs no more than an exponent of 1
+    e = 10**9
+    clash = parse_generators(f"x1^{e}, x2^{e}", 2)
+    assert check_lq_order(zero(2), clash) == (None, 1)
+    assert find_lq_order(zero(2), clash) is None
+    assert revlex_lq(MonomialIdeal(2, clash)) is None
+    assert revlex_lq(MonomialIdeal(2, clash), increasing=True) is None
+    linear = parse_generators(f"x1^{e}*x2, x1^{e - 1}*x2^2", 2)
+    cert, failed_at = check_lq_order(zero(2), linear)
+    assert failed_at is None and list(cert.steps) == [frozenset(), frozenset({1})]
+    assert cert.verify()
+    found = find_lq_order(zero(2), linear)  # canonical order: x2^2 first
+    assert found.appended == tuple(reversed(linear)) and found.verify()
+    assert revlex_lq(MonomialIdeal(2, linear)) == cert
 
 
 @st.composite
