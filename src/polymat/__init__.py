@@ -10,12 +10,11 @@ from .ideal import (
     ResourceLimitExceeded,
     UnitIdealError,
     ZeroIdealError,
-    capped_divisors,
     colon,
     colon_by_ideal,
+    colons,
     combine,
     component,
-    divisors,
     ideal_intersection,
     ideal_product,
     ideal_sum,

@@ -502,23 +502,24 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
     return (Monomial(e) for e in capped_exponents(d, (d,) * nvars))
 
 
-def divisors(m: Monomial) -> Iterator[Monomial]:
-    """All divisors of m, in canonical (degree, lex) order."""
-    grid = itertools.product(*(range(e + 1) for e in m.exps))
-    for exps in sorted(grid, key=lambda t: (sum(t), t)):
-        yield Monomial(exps)
+def colons(I: MonomialIdeal) -> Iterator[tuple[Monomial, MonomialIdeal]]:
+    """(u, I : u) once for each distinct non-unit colon of I, at the first
+    u giving it among the divisors of lcm(G(I)) in canonical order.
 
-
-def capped_divisors(I: MonomialIdeal) -> Iterator[Monomial]:
-    """The divisors of lcm(G(I)): a finite set of colon representatives.
-
-    Every colon ideal I : u equals I : gcd(u, lcm(G(I))), so quantifying
-    over these divisors covers "all monomials u".  Their number,
-    prod(e_i + 1) over the exponents e_i of the lcm, is counted against
-    DEFAULT_MONOMIAL_BUDGET before any is built.
+    Every colon ideal I : u equals I : gcd(u, lcm(G(I))), so these cover
+    "all monomials u".  The divisors number prod(e_i + 1) over the
+    exponents e_i of the lcm; that count is checked against
+    DEFAULT_MONOMIAL_BUDGET before any divisor is built.
     """
     top = I.lcm_gens()
     if top is None:
-        return iter(())
-    _check_enumeration("capped_divisors", math.prod(e + 1 for e in top.exps))
-    return divisors(top)
+        return
+    _check_enumeration("colons", math.prod(e + 1 for e in top.exps), "divisors")
+    seen: set[MonomialIdeal] = set()
+    grid = itertools.product(*(range(e + 1) for e in top.exps))
+    for exps in sorted(grid, key=lambda t: (sum(t), t)):
+        u = Monomial(exps)
+        J = colon(I, u)
+        if not J.is_unit and J not in seen:
+            seen.add(J)
+            yield u, J

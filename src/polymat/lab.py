@@ -23,9 +23,9 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     _require_proper,
-    capped_divisors,
     colon,
     colon_by_ideal,
+    colons,
     component,
     ideal_product,
     is_single_degree,
@@ -194,9 +194,10 @@ CONDITION_KEYS = ("a", "b", "c", "d", "e")
 class EquivalenceRecord:
     """Verdicts for the five equivalent colon conditions on one ideal.
 
-    a: polymatroidal; over all capped divisors u: b: every colon
-    polymatroidal, c: single degree with linear quotients in decreasing
-    reverse lex, d: linear resolution, e: single degree.  Any
+    a: polymatroidal; over the non-unit colons I : u of ``ideal.colons``:
+    b: every colon polymatroidal, c: single degree with linear quotients
+    in decreasing reverse lex, d: linear resolution, e: single degree.
+    Each witness u is the first divisor of lcm(G(I)) to fail.  Any
     disagreement is a violation.  There is no fallback to the increasing
     convention: a polymatroidal colon has linear quotients in decreasing
     reverse lex (Herzog-Takayama), so b implies c.  ``to_json`` keeps
@@ -230,15 +231,7 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
     if not ok_a:
         witnesses["a"] = wit_a.to_json() if wit_a else {"reason": "not single degree"}
 
-    # each distinct non-unit colon once, at the first u that produced it:
-    # a repeat has the verdicts of its first occurrence, so the first
-    # failing u of every condition is unchanged
-    colons: set[MonomialIdeal] = set()
-    for u in capped_divisors(I):
-        J = colon(I, u)
-        if J.is_unit or J in colons:
-            continue  # the whole ring passes every condition; a repeat is decided
-        colons.add(J)
+    for u, J in colons(I):
         single = is_single_degree(J)
         if conditions["e"] and not single:
             conditions["e"] = False
@@ -614,10 +607,7 @@ def _check_nonpure_exchange_gap(char: int) -> dict:
     cert_ok = cert is not None and cert.verify()
     colons_cw_linear = True
     bad_u = None
-    for u in capped_divisors(I):
-        J = colon(I, u)
-        if J.is_unit:
-            continue
+    for u, J in colons(I):
         if not is_componentwise_linear(J, char):
             colons_cw_linear = False
             bad_u = str(u)

@@ -18,8 +18,7 @@ from .ideal import (
     MonomialIdeal,
     _check_enumeration,
     _require_proper,
-    capped_divisors,
-    colon,
+    colons,
     ideal_product,
     power,
     prime_ideal,
@@ -151,10 +150,11 @@ def associated_primes(I: MonomialIdeal) -> AssociatedPrimes:
     """Associated primes of S/I, each validated by a witness monomial.
 
     Candidates are the radicals of the irredundant irreducible
-    components; a witness with I : w = P is searched among the divisors
-    of lcm(G(I)), which suffice because a colon only sees exponents up to
-    the lcm; ``capped_divisors`` budgets their number.  A candidate
-    without a witness is reported as an error, never dropped silently.
+    components; a witness with I : w = P is the first w that
+    ``ideal.colons`` yields with that colon, so the search ranges over
+    the divisors of lcm(G(I)) under its budget and stops at the last
+    witness.  A candidate without a witness is reported as an error,
+    never dropped silently.
     """
     _require_proper(I, "decomposition")
     candidates = sorted(
@@ -163,17 +163,14 @@ def associated_primes(I: MonomialIdeal) -> AssociatedPrimes:
     )
     witnesses: dict[frozenset[int], Monomial] = {}
     remaining = set(candidates)
-    for w in capped_divisors(I):
-        if not remaining:
-            break
-        Q = colon(I, w)
-        if Q.is_unit:
-            continue
+    for w, Q in colons(I):
         if all(g.degree == 1 for g in Q.gens):
             p = frozenset(g.exps.index(1) + 1 for g in Q.gens)
             if p in remaining:
                 witnesses[p] = w
                 remaining.discard(p)
+                if not remaining:
+                    break  # scanning on would build colons nobody needs
     if remaining:
         raise AssertionError(
             "no witness found for candidate primes "

@@ -236,18 +236,6 @@ def find_lq_order(
 # reverse-lexicographic order
 # ---------------------------------------------------------------------------
 
-def revlex_greater(u: Monomial, v: Monomial) -> bool:
-    """u > v in the reverse lexicographic order with x1 > x2 > ... > xn.
-
-    For monomials of equal degree: u > v when the last nonzero entry of
-    the exponent difference u - v is negative.
-    """
-    for a, b in zip(reversed(u.exps), reversed(v.exps)):
-        if a != b:
-            return a < b
-    return False
-
-
 def revlex_order(gens: Iterable[Monomial], increasing: bool = False) -> list[Monomial]:
     """Generators sorted for processing: decreasing revlex by default.
 

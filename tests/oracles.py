@@ -33,6 +33,14 @@ def monomials_up_to(nvars: int, maxdeg: int):
         yield from monomials_of_degree(nvars, d)
 
 
+def lcm_divisors(I: MonomialIdeal) -> list[Monomial]:
+    """Every divisor of the lcm of the generators, in (degree, lex) order,
+    from the full grid of exponent vectors."""
+    top = [max(col) for col in zip(*(g.exps for g in I.gens))]
+    grid = itertools.product(*(range(e + 1) for e in top))
+    return [Monomial(e) for e in sorted(grid, key=lambda t: (sum(t), t))]
+
+
 def colon_membership_ok(I: MonomialIdeal, u: Monomial, maxdeg: int = 5) -> bool:
     """w in (I : u) iff w*u in I, for all monomials w up to maxdeg."""
     J = colon(I, u)

@@ -406,12 +406,12 @@ class TestErrors:
         assert "componentwise Veronese walk would enumerate" in capsys.readouterr().err
 
     def test_divisor_walk_over_budget_exit_3(self, capsys):
-        # 1001^2 = 1,002,001 capped divisors, counted before any is built
+        # 1001^2 = 1,002,001 divisors of the lcm, counted before any is built
         for verb in ("equiv", "ass"):
             t0 = time.perf_counter()
             assert run([verb, "-n", "2", "x1^1000*x2^1000"]) == 3, verb
             assert time.perf_counter() - t0 < 1.0, verb
-            assert "capped_divisors would enumerate 1002001" in capsys.readouterr().err
+            assert "colons would enumerate 1002001" in capsys.readouterr().err
 
     def test_decomposition_over_budget_exit_3(self, capsys):
         # the 13-edge matching has 2^13 components; the pruning would

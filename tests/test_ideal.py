@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polymat import ideal as ideal_module
 from polymat.ideal import (
     DEFAULT_MONOMIAL_BUDGET,
     IdealSyntaxError,
@@ -13,11 +14,10 @@ from polymat.ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     ZeroIdealError,
-    capped_divisors,
     colon,
+    colons,
     combine,
     component,
-    divisors,
     ideal_intersection,
     ideal_product,
     ideal_sum,
@@ -32,11 +32,13 @@ from polymat.ideal import (
     prime_ideal,
     saturate,
 )
+from polymat.lab import IdealSpace, space_ideals
 
 from oracles import (
     colon_membership_ok,
     component_oracle,
     intersection_membership_ok,
+    lcm_divisors,
     monomials_up_to,
 )
 
@@ -326,23 +328,54 @@ class TestEnumeration:
         assert [str(m) for m in monomials_of_degree(2, 2)] == ["x2^2", "x1*x2", "x1^2"]
 
     def test_divisors(self):
-        divs = list(divisors(M("x1^2*x2", 2)))
+        divs = lcm_divisors(I("x1^2*x2", 2))
         assert len(divs) == 6
         assert divs[0].is_unit and divs[-1] == M("x1^2*x2", 2)
 
     def test_capped_divisors_cover_all_colons(self):
+        # every colon I : w equals I : gcd(w, lcm(G(I))), a divisor of the lcm
         ideal = I("x1^2, x2*x3", 3)
-        reachable = {colon(ideal, u) for u in capped_divisors(ideal)}
+        reachable = {colon(ideal, u) for u in lcm_divisors(ideal)}
         for w in monomials_up_to(3, 4):
             assert colon(ideal, w) in reachable
 
-    def test_capped_divisors_are_counted_before_any_is_built(self):
+    def test_capped_divisors_are_counted_before_any_is_built(self, monkeypatch):
         # prod(e_i + 1) divisors of the lcm, against the monomial budget
         at_budget = MonomialIdeal(1, [Monomial((DEFAULT_MONOMIAL_BUDGET - 1,))])
-        capped_divisors(at_budget)
+        assert next(colons(at_budget)) == (M("1", 1), at_budget)
         over = MonomialIdeal(2, [Monomial((1, DEFAULT_MONOMIAL_BUDGET // 2))])
-        with pytest.raises(ResourceLimitExceeded, match="capped_divisors would enumerate"):
-            capped_divisors(over)
+        used = []
+        monkeypatch.setattr(ideal_module, "colon", lambda J, u: used.append(u))
+        with pytest.raises(ResourceLimitExceeded, match="colons would enumerate"):
+            next(colons(over))
+        assert not used
+
+
+def first_colons(ideal):
+    """Each distinct non-unit colon at its least divisor of the lcm, in order."""
+    first = {}
+    for u in lcm_divisors(ideal):
+        J = colon(ideal, u)
+        if not J.is_unit:
+            first.setdefault(J, u)
+    return [(u, J) for J, u in first.items()]
+
+
+class TestColons:
+    def test_first_occurrences_in_divisor_order(self):
+        more = [
+            ("1", 2),
+            ("x1*x2, x3*x4", 4),
+            ("x1^2*x3, x2*x4^2, x1*x2*x3*x4", 4),
+            ("x1*x2*x3, x3*x4*x5, x1^2*x5", 5),
+            ("x1^2, x1*x2, x2*x3, x4*x5^2", 5),
+        ]
+        ideals = [*space_ideals(IdealSpace(3, 3, 3)), *(I(text, n) for text, n in more)]
+        for ideal in ideals:
+            assert list(colons(ideal)) == first_colons(ideal), ideal
+
+    def test_zero_ideal_has_no_colons(self):
+        assert list(colons(I("", 2))) == []
 
 
 # ---------------------------------------------------------------------------

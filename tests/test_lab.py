@@ -13,7 +13,6 @@ from polymat.ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     UnitIdealError,
-    capped_divisors,
     colon,
     is_single_degree,
     localize,
@@ -34,7 +33,7 @@ from polymat.polymatroid import VeroneseParams, is_matroidal, is_polymatroidal, 
 from polymat.quotients import revlex_lq
 from polymat.resolution import has_linear_resolution
 
-from oracles import localization_profile_by_walk, taylor_betti
+from oracles import lcm_divisors, localization_profile_by_walk, taylor_betti
 
 
 def I(text, n):
@@ -125,7 +124,7 @@ class TestVerifyEquivalences:
 
 
 class TestVerifyEquivalencesColonsOnce:
-    # each has a colon that repeats over its capped divisors; in the first
+    # each has a colon that repeats over the divisors of its lcm; in the first
     # two cases a repeated colon is the first to fail condition e
     CASES = [
         ("x1^2, x2^2, x2*x3, x3^2", 3),
@@ -141,9 +140,9 @@ class TestVerifyEquivalencesColonsOnce:
 
     @staticmethod
     def first_failures(ideal):
-        """Witnesses of conditions b-e from every capped divisor in order."""
+        """Witnesses of conditions b-e from every divisor of the lcm in order."""
         found = {}
-        for u in capped_divisors(ideal):
+        for u in lcm_divisors(ideal):
             J = colon(ideal, u)
             if J.is_unit:
                 continue

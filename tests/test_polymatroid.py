@@ -12,7 +12,6 @@ from polymat.ideal import (
     ResourceLimitExceeded,
     UnitIdealError,
     ZeroIdealError,
-    capped_divisors,
     colon,
     component,
     ideal_product,
@@ -42,6 +41,7 @@ from oracles import (
     has_nonpure_exchange_loop,
     has_strong_exchange_loop,
     is_polymatroidal_loop,
+    lcm_divisors,
 )
 
 
@@ -99,7 +99,7 @@ class TestPolymatroidal:
             is_polymatroidal(I("1", 2))
 
     def test_colon_closure_on_polymatroidal(self):
-        # Theorem: every capped colon of a polymatroidal ideal is polymatroidal
+        # Theorem: every colon of a polymatroidal ideal is polymatroidal
         for text, n in [
             ("x1*x2, x1*x3, x2*x3", 3),
             ("x1^2, x1*x2, x2^2", 2),
@@ -107,7 +107,7 @@ class TestPolymatroidal:
         ]:
             ideal = I(text, n)
             assert is_polymatroidal(ideal)[0]
-            for u in capped_divisors(ideal):
+            for u in lcm_divisors(ideal):
                 J = colon(ideal, u)
                 if not J.is_unit:
                     assert is_polymatroidal(J)[0]

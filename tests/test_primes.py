@@ -12,7 +12,6 @@ from polymat.ideal import (
     ResourceLimitExceeded,
     ZeroIdealError,
     colon,
-    divisors,
     ideal_intersection,
     parse_ideal,
     power,
@@ -24,6 +23,8 @@ from polymat.primes import (
     irreducible_decomposition,
     transversal,
 )
+
+from oracles import lcm_divisors
 
 
 def I(text, n):
@@ -40,7 +41,7 @@ def recombine(components, nvars):
 def ass_oracle(ideal):
     """All primes of the form I : w, over every divisor of lcm(G(I))."""
     out = set()
-    for w in divisors(ideal.lcm_gens()):
+    for w in lcm_divisors(ideal):
         Q = colon(ideal, w)
         if not Q.is_zero and not Q.is_unit and all(g.degree == 1 for g in Q.gens):
             out.add(frozenset(g.exps.index(1) + 1 for g in Q.gens))
@@ -141,6 +142,24 @@ class TestAssociatedPrimes:
             res = associated_primes(ideal)
             for p, w in res.witnesses.items():
                 assert colon(ideal, w) == prime_ideal(n, p)
+
+    def test_stops_at_last_witness(self, monkeypatch):
+        # no colon is built past the divisor that gives the last witness
+        original = ideal_module.colon
+        built = []
+        monkeypatch.setattr(ideal_module, "colon", lambda J, u: built.append(u) or original(J, u))
+        for text, n in [
+            ("x1^2, x1*x2", 2),
+            ("x1*x2, x2*x3, x3*x4", 4),
+            ("x1^2, x1*x2, x3^2, x2*x3", 3),
+        ]:
+            ideal = I(text, n)
+            built.clear()
+            res = associated_primes(ideal)
+            divs = lcm_divisors(ideal)
+            last = max(divs.index(w) for w in res.witnesses.values())
+            assert built == divs[: last + 1], text
+            assert len(built) < len(divs), text
 
     def test_against_colon_oracle(self):
         cases = [

@@ -28,7 +28,6 @@ from polymat.quotients import (
     componentwise_veronese_lq,
     extend_lq_veronese,
     find_lq_order,
-    revlex_greater,
     revlex_lq,
     revlex_order,
 )
@@ -360,6 +359,15 @@ def lq_sequences(draw):
     gens = draw(st.permutations(MonomialIdeal(n, drawn).gens))
     k = draw(st.integers(0, len(gens)))
     return MonomialIdeal(n, gens[:k]), gens[k:]
+
+
+def revlex_greater(u, v):
+    """u > v in the reverse lexicographic order with x1 > x2 > ... > xn:
+    for equal degrees, the last nonzero entry of u - v is negative."""
+    for a, b in zip(reversed(u.exps), reversed(v.exps)):
+        if a != b:
+            return a < b
+    return False
 
 
 def _lq_step(current, v):
