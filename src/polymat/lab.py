@@ -12,6 +12,7 @@ a forward-direction one is a bug.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -105,22 +106,23 @@ def _exhaustive_ideals(space: IdealSpace, enum_budget: int) -> Iterator[Monomial
     """All nonzero, non-unit ideals whose minimal generators fit the bounds.
 
     Enumerates antichains of the divisibility order directly, so each
-    ideal appears exactly once, already in canonical form.
+    ideal appears exactly once, already in canonical form.  The pool of
+    monomials of degree 1..maxdeg has C(maxdeg + n, n) - 1 members, and
+    its subsets of at most maxgens members are counted against the
+    budget before the pool is built.
     """
+    size = math.comb(space.maxdeg + space.nvars, space.nvars) - 1
+    implied = 0
+    for g in range(1, min(space.maxgens, size) + 1):
+        implied += math.comb(size, g)
+        if implied > enum_budget:
+            raise ResourceLimitExceeded(
+                f"exhaustive space implies at least {implied} subsets, over budget {enum_budget}"
+            )
     pool: list[Monomial] = []
     for d in range(1, space.maxdeg + 1):
         pool.extend(monomials_of_degree(space.nvars, d))
     pool.sort(key=Monomial._key)
-
-    implied = 0
-    from math import comb
-
-    for g in range(1, space.maxgens + 1):
-        implied += comb(len(pool), g)
-    if implied > enum_budget:
-        raise ResourceLimitExceeded(
-            f"exhaustive space implies ~{implied} subsets, over budget {enum_budget}"
-        )
 
     def extend(chosen: tuple[Monomial, ...], start: int) -> Iterator[tuple[Monomial, ...]]:
         for k in range(start, len(pool)):

@@ -13,12 +13,15 @@ witnesses are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .ideal import (
+    DEFAULT_MONOMIAL_BUDGET,
     Monomial,
     MonomialIdeal,
+    ResourceLimitExceeded,
     _check_enumeration,
     _component_size,
     _require_proper,
@@ -175,24 +178,31 @@ def has_nonpure_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None
 
 
 def veronese(params: VeroneseParams) -> MonomialIdeal:
-    """All degree-d monomials within the exponent caps (already minimal)."""
-    gens = tuple(Monomial(e) for e in capped_exponents(params.d, params.caps))
-    return MonomialIdeal._raw(params.nvars, gens)
+    """All degree-d monomials within the exponent caps (already minimal).
+
+    Raises ResourceLimitExceeded past DEFAULT_MONOMIAL_BUDGET monomials,
+    after enumerating one more exponent vector than the budget.
+    """
+    budget = DEFAULT_MONOMIAL_BUDGET
+    exps = list(itertools.islice(capped_exponents(params.d, params.caps), budget + 1))
+    if len(exps) > budget:
+        raise ResourceLimitExceeded(f"veronese would enumerate more than {budget} monomials")
+    return MonomialIdeal._raw(params.nvars, tuple(Monomial(e) for e in exps))
 
 
 def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:
     """Recover Veronese-type parameters, or None.
 
     Uses the tight caps a_i = max exponent of x_i over the generators and
-    compares the reconstruction with I.
+    compares the reconstruction with G(I).  Both are in lex order, so at
+    most |G(I)| + 1 capped exponent vectors are enumerated.
     """
     _require_proper(I, "predicate")
     if not is_single_degree(I):
         raise ValueError("Veronese detection requires a single generator degree")
-    d = I.gens[0].degree
-    caps = I.lcm_gens().exps
-    params = VeroneseParams(d, caps)
-    return params if veronese(params) == I else None
+    params = VeroneseParams(I.gens[0].degree, I.lcm_gens().exps)
+    built = itertools.islice(capped_exponents(params.d, params.caps), len(I.gens) + 1)
+    return params if list(built) == [g.exps for g in I.gens] else None
 
 
 def is_componentwise_polymatroidal(I: MonomialIdeal) -> tuple[bool, int | None]:

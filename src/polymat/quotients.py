@@ -25,10 +25,11 @@ outside gt[i][v_i + 1] exactly when its quotient is x_i, so S is read off
 from the bits of A_i & ~gt[i][v_i + 1] that lie in no other A_j, and the
 step is linear exactly when the A_i over S cover P.
 That is O(n) int operations per step, whatever the number of
-predecessors.  ``check_lq_order`` (and with it ``verify()``) and
-``find_lq_order`` first check that the sequence is a minimal generating
-set; ``revlex_lq`` orders G(I), which the ``MonomialIdeal`` invariant
-already keeps minimal, and skips that check.
+predecessors.  The same masks first check that the sequence is a
+minimal generating set: g_j divides g_k exactly when position j lies in
+no gt[i][g_k,i].  A fixed order has one step path, ``check_lq_order``,
+which ``verify()``, ``revlex_lq`` and the Veronese constructions all
+call; ``find_lq_order`` searches on the same checked masks.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     ZeroIdealError,
-    _minimal_sorted,
     _require_proper,
     ideal_product,
     is_single_degree,
@@ -110,7 +110,7 @@ def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
 
 
 def _mask_step(
-    gt: list[dict[int, int]], ve: tuple[int, ...], preds: int
+    gt: list[dict[int, int]] | None, ve: tuple[int, ...], preds: int
 ) -> frozenset[int] | None:
     """The variables (1-based) generating the colon of the positions in
     ``preds`` by the sequence member with exponents ``ve``, or None when
@@ -122,8 +122,6 @@ def _mask_step(
     for a in above:
         twice |= once & a
         once |= a
-    if once != preds:
-        return None  # a predecessor divides v: the colon is the unit ideal
     step = []
     covered = 0
     for i, (a, col, e) in enumerate(zip(above, gt, ve)):
@@ -131,40 +129,28 @@ def _mask_step(
             step.append(i + 1)
             covered |= a
     if covered != preds:
-        return None  # some quotient's support misses S
+        return None  # a quotient's support misses S or is empty (g_k divides v)
     return frozenset(step)
 
 
-def _check_joint_minimality(base: MonomialIdeal, order: Sequence[Monomial]) -> None:
-    combined = tuple(base.gens) + tuple(order)
-    for g in combined:
-        if g.nvars != base.nvars:
-            raise ValueError("nvars mismatch in generator sequence")
-    if len(set(combined)) != len(combined):
-        raise ValueError("generator sequence contains duplicates")
-    if set(_minimal_sorted(combined)) != set(combined):
-        raise ValueError("base plus order is not a minimal generating set")
-
-
-def _step_through(
-    base: MonomialIdeal, order: tuple[Monomial, ...]
-) -> tuple[LinearQuotientsCertificate | None, int | None]:
-    """Step through ``order`` after ``base``.  The masks of base + order
-    are built at the first step that has predecessors, so a lone
-    generator over the zero ideal, as in most colons ``revlex_lq`` sees
-    from the equivalence checks, builds none."""
-    nb = len(base.gens)
-    gt = None
-    steps: list[frozenset[int]] = []
-    for pos, v in enumerate(order):
-        preds = (1 << (nb + pos)) - 1
-        if preds and gt is None:
-            gt = _masks(base.gens + order)
-        step = _mask_step(gt, v.exps, preds)
-        if step is None:
-            return None, pos
-        steps.append(step)
-    return LinearQuotientsCertificate(base, order, tuple(steps)), None
+def _minimal_masks(base: MonomialIdeal, seq: tuple[Monomial, ...]) -> list[dict[int, int]] | None:
+    """The masks of ``seq`` (base plus order), after checking that its
+    members have the base's nvars and that none divides another: g_j
+    divides g_k exactly when j lies in no ``gt[i][g_k,i]``.  A sequence
+    of at most one member has no step with predecessors: no masks."""
+    if any(g.nvars != base.nvars for g in seq):
+        raise ValueError("nvars mismatch in generator sequence")
+    if len(seq) < 2:
+        return None
+    gt = _masks(seq)
+    everything = (1 << len(seq)) - 1
+    for k, g in enumerate(seq):
+        cover = 1 << k
+        for col, e in zip(gt, g.exps):
+            cover |= col[e]
+        if cover != everything:
+            raise ValueError("base plus order is not a minimal generating set")
+    return gt
 
 
 def check_lq_order(
@@ -173,8 +159,15 @@ def check_lq_order(
     """Verify a proposed order; returns (certificate, None) on success,
     (None, first failing position) otherwise."""
     order = tuple(order)
-    _check_joint_minimality(base, order)
-    return _step_through(base, order)
+    gt = _minimal_masks(base, base.gens + order)
+    nb = len(base.gens)
+    steps: list[frozenset[int]] = []
+    for pos, v in enumerate(order):
+        step = _mask_step(gt, v.exps, (1 << (nb + pos)) - 1)
+        if step is None:
+            return None, pos
+        steps.append(step)
+    return LinearQuotientsCertificate(base, order, tuple(steps)), None
 
 
 def find_lq_order(
@@ -197,9 +190,8 @@ def find_lq_order(
         raise ResourceLimitExceeded(
             f"{len(pool)} generators exceed the search cap of {max_gens}"
         )
-    _check_joint_minimality(base, pool)
+    gt = _minimal_masks(base, base.gens + tuple(pool))
     nb = len(base.gens)
-    gt = _masks(base.gens + tuple(pool))
     base_mask = (1 << nb) - 1
     everything = (1 << len(pool)) - 1
     dead: set[int] = set()
@@ -261,10 +253,7 @@ def revlex_lq(
         raise ZeroIdealError("no generators to order")
     if not is_single_degree(I):
         raise ValueError("revlex linear quotients require a single generator degree")
-    # G(I) is a minimal generating set by the MonomialIdeal invariant, so
-    # unlike check_lq_order this steps without validating the sequence
-    order = tuple(revlex_order(I.gens, increasing))
-    cert, _ = _step_through(MonomialIdeal._raw(I.nvars, ()), order)
+    cert, _ = check_lq_order(MonomialIdeal._raw(I.nvars, ()), revlex_order(I.gens, increasing))
     return cert
 
 

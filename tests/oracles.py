@@ -5,7 +5,9 @@ from Taylor-complex strand homology over generator subsets (the library
 uses upper Koszul complexes over variables), upper Koszul complexes come
 from membership tests over every subset of the support (the library
 reads their facets from the generators), colon ideals are checked by raw
-membership, linear-quotient searches are re-done by permutation
+membership, minimality of a generator sequence by pairwise divisibility
+of exponent tuples (the library reads it off its step masks),
+linear-quotient searches are re-done by permutation
 enumeration on top of the primitive colon, and the exchange predicates
 are the plain pair loops that test every move by divisibility (the
 library looks moves up among the generators).
@@ -148,6 +150,19 @@ def lq_order_ok_primitive(base: MonomialIdeal, order) -> bool:
             return False
         current = ideal_sum(current, MonomialIdeal(base.nvars, [v]))
     return True
+
+
+def is_minimal_sequence(nvars: int, seq) -> bool:
+    """Every member has ``nvars`` variables and none divides another,
+    by pairwise comparison of exponent tuples (repeats divide)."""
+    exps = [g.exps for g in seq]
+    if any(len(e) != nvars for e in exps):
+        return False
+    return not any(
+        j != k and all(a <= b for a, b in zip(exps[j], exps[k]))
+        for j in range(len(exps))
+        for k in range(len(exps))
+    )
 
 
 def lq_exists_bruteforce(base: MonomialIdeal, gens) -> bool:

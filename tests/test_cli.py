@@ -413,6 +413,33 @@ class TestErrors:
             assert time.perf_counter() - t0 < 1.0, verb
             assert "colons would enumerate 1002001" in capsys.readouterr().err
 
+    def test_veronese_enumeration_is_budgeted(self, capsys):
+        # detection compares at most |G(I)| + 1 capped exponent vectors,
+        # not all C(105, 5) degree-100 monomials
+        t0 = time.perf_counter()
+        assert run(["check", "cw-veronese", "-n", "6", ", ".join(f"x{i}^100" for i in range(1, 7))]) == 1
+        assert time.perf_counter() - t0 < 2.0
+        assert "failing degree: 100" in capsys.readouterr().out
+        # I_(300; 300, ..., 300) has C(304, 4) generators
+        t0 = time.perf_counter()
+        argv = ["extend-veronese", "--from-params", "300:300,300,300,300",
+                "--to-params", "301:301,301,301,301"]
+        assert run(argv) == 3
+        assert time.perf_counter() - t0 < 2.0
+        assert "veronese would enumerate more than 200000 monomials" in capsys.readouterr().err
+
+    def test_exhaustive_scan_space_is_counted_before_it_is_built(self, capsys):
+        # C(32, 12) - 1 = 225,792,839 monomials of degree 1..20 in 12 variables
+        t0 = time.perf_counter()
+        assert run(["scan", "--nvars", "12", "--maxdeg", "20", "--maxgens", "1"]) == 3
+        assert time.perf_counter() - t0 < 2.0
+        assert "implies at least 225792839 subsets" in capsys.readouterr().err
+        # a pool of one monomial has one nonempty subset, however large maxgens
+        t0 = time.perf_counter()
+        assert run(["scan", "--nvars", "1", "--maxdeg", "1", "--maxgens", "1000000000"]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        assert "scanned 1 ideals" in capsys.readouterr().out
+
     def test_decomposition_over_budget_exit_3(self, capsys):
         # the 13-edge matching has 2^13 components; the pruning would
         # compare 448 * 447 pairs once 448 of them have accrued

@@ -32,8 +32,9 @@ from polymat.quotients import (
     revlex_order,
 )
 from polymat.resolution import is_componentwise_linear
+import polymat.quotients as quotients_module
 
-from oracles import lq_exists_bruteforce, lq_order_ok_primitive
+from oracles import is_minimal_sequence, lq_exists_bruteforce, lq_order_ok_primitive
 
 
 def I(text, n):
@@ -484,10 +485,82 @@ def test_revlex_order_matches_pairwise_definition(gens):
 @settings(max_examples=200, deadline=None)
 @given(single_degree_sets(), st.booleans())
 def test_revlex_certificates_verify(gens, increasing):
-    # revlex_lq steps G(I) without re-validating it; verify() runs the
-    # full check_lq_order on the certificate's own data
+    # verify() re-runs check_lq_order on the certificate's own data
     ideal = MonomialIdeal(gens[0].nvars, gens)
     cert = revlex_lq(ideal, increasing)
     expected, _ = check_lq_order(zero(ideal.nvars), revlex_order(ideal.gens, increasing))
     assert cert == expected
     assert cert is None or cert.verify()
+
+
+@st.composite
+def mixed_sequences(draw):
+    """A base ideal and an order that is often no minimal generating set
+    with it: a repeat, a divisor or multiple of a member, a multiple of
+    a base generator, or a member with another number of variables."""
+    n = draw(st.integers(1, 3))
+    base = MonomialIdeal(n, draw(st.lists(_exponent_monomials(n), max_size=3)))
+    order = draw(st.lists(_exponent_monomials(n), max_size=4))
+    flaw = draw(st.sampled_from(["none", "repeat", "multiple", "divisor", "base", "nvars"]))
+    if flaw == "repeat" and order:
+        order.append(draw(st.sampled_from(order)))
+    elif flaw == "multiple" and order:
+        order.append(draw(st.sampled_from(order)) * draw(_exponent_monomials(n)))
+    elif flaw == "divisor" and order:
+        u = draw(st.sampled_from(order))
+        order.append(Monomial(tuple(draw(st.integers(0, e)) for e in u.exps)))
+    elif flaw == "base" and base.gens:
+        order.append(draw(st.sampled_from(base.gens)) * draw(_exponent_monomials(n)))
+    elif flaw == "nvars":
+        order.append(draw(_exponent_monomials(n + 1)))
+    return base, draw(st.permutations(order))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_sequences())
+def test_minimality_check_matches_pairwise_oracle(case):
+    def rejects(f):
+        try:
+            f(base, order)
+        except ValueError:
+            return True
+        return False
+
+    base, order = case
+    assert rejects(check_lq_order) == (not is_minimal_sequence(base.nvars, base.gens + tuple(order)))
+    # the search takes a set of candidates, so repeats collapse first
+    pool = tuple(dict.fromkeys(order))
+    assert rejects(find_lq_order) == (not is_minimal_sequence(base.nvars, base.gens + pool))
+
+
+def test_revlex_steps_only_through_check_lq_order(monkeypatch):
+    calls = []
+    inside = []
+    check, step = quotients_module.check_lq_order, quotients_module._mask_step
+
+    def counting_check(base, order):
+        calls.append(tuple(order))
+        inside.append(True)
+        try:
+            return check(base, order)
+        finally:
+            inside.pop()
+
+    def guarded_step(*args):
+        assert inside, "a step ran outside check_lq_order"
+        return step(*args)
+
+    monkeypatch.setattr(quotients_module, "check_lq_order", counting_check)
+    monkeypatch.setattr(quotients_module, "_mask_step", guarded_step)
+    ideals = [
+        power(maximal_ideal(3), 2),
+        I("x1*x2, x3*x4", 4),
+        I("x1*x4, x2*x3, x2*x4, x3*x4", 4),
+        I("x1^2*x2", 2),
+    ]
+    for ideal in ideals:
+        for increasing in (False, True):
+            calls.clear()
+            cert = revlex_lq(ideal, increasing)
+            assert calls == [tuple(revlex_order(ideal.gens, increasing))]
+            assert cert is None or cert.appended == calls[0]
