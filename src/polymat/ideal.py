@@ -485,16 +485,23 @@ def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     room = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         room[i] = room[i + 1] + caps[i]
+    if not n or not 0 <= d <= room[0]:
+        return
+    if n == 1:
+        yield (d,)
+        return
+    last = caps[-1]
 
     def rec(prefix: tuple[int, ...], remaining: int, pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n - 1:
-            yield prefix + (remaining,)
+        if pos == n - 2:
+            # the last two positions in one loop: the last takes the rest
+            for e in range(max(0, remaining - last), min(caps[pos], remaining) + 1):
+                yield prefix + (e, remaining - e)
             return
         for e in range(max(0, remaining - room[pos + 1]), min(caps[pos], remaining) + 1):
             yield from rec(prefix + (e,), remaining - e, pos + 1)
 
-    if n and 0 <= d <= room[0]:
-        yield from rec((), d, 0)
+    yield from rec((), d, 0)
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:

@@ -99,7 +99,7 @@ def space_ideals(
     if space.mode == "exhaustive":
         yield from _exhaustive_ideals(space, enum_budget)
     else:
-        yield from _sampled_ideals(space)
+        yield from _sampled_ideals(space, enum_budget)
 
 
 def _exhaustive_ideals(space: IdealSpace, enum_budget: int) -> Iterator[MonomialIdeal]:
@@ -138,9 +138,16 @@ def _exhaustive_ideals(space: IdealSpace, enum_budget: int) -> Iterator[Monomial
         yield MonomialIdeal._raw(space.nvars, antichain)
 
 
-def _sampled_ideals(space: IdealSpace) -> Iterator[MonomialIdeal]:
+def _sampled_ideals(space: IdealSpace, enum_budget: int) -> Iterator[MonomialIdeal]:
     """Seeded random generator sets, minimalized; split per index so
-    sample i is reproducible independently of the rest."""
+    sample i is reproducible independently of the rest.  The draws hold
+    at most samples * maxgens monomials, counted against the budget
+    before any is drawn."""
+    implied = space.samples * space.maxgens
+    if implied > enum_budget:
+        raise ResourceLimitExceeded(
+            f"sampled space implies up to {implied} generators, over budget {enum_budget}"
+        )
     for idx in range(space.samples):
         rng = random.Random((space.seed * 0x9E3779B97F4A7C15 + idx) % 2**64)
         ngens = rng.randint(1, space.maxgens)

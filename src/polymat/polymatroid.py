@@ -177,17 +177,27 @@ def has_nonpure_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None
     return witness is None, witness
 
 
-def veronese(params: VeroneseParams) -> MonomialIdeal:
-    """All degree-d monomials within the exponent caps (already minimal).
+def _veronese_exponents(params: VeroneseParams) -> list[tuple[int, ...]]:
+    """The exponent vectors of G(veronese(params)), lex ascending.
 
-    Raises ResourceLimitExceeded past DEFAULT_MONOMIAL_BUDGET monomials,
-    after enumerating one more exponent vector than the budget.
+    Raises ResourceLimitExceeded past DEFAULT_MONOMIAL_BUDGET vectors,
+    after enumerating one more than the budget.
     """
     budget = DEFAULT_MONOMIAL_BUDGET
     exps = list(itertools.islice(capped_exponents(params.d, params.caps), budget + 1))
     if len(exps) > budget:
         raise ResourceLimitExceeded(f"veronese would enumerate more than {budget} monomials")
-    return MonomialIdeal._raw(params.nvars, tuple(Monomial(e) for e in exps))
+    return exps
+
+
+def veronese(params: VeroneseParams) -> MonomialIdeal:
+    """All degree-d monomials within the exponent caps (already minimal).
+
+    Raises ResourceLimitExceeded past DEFAULT_MONOMIAL_BUDGET monomials.
+    """
+    return MonomialIdeal._raw(
+        params.nvars, tuple(Monomial(e) for e in _veronese_exponents(params))
+    )
 
 
 def detect_veronese(I: MonomialIdeal) -> VeroneseParams | None:

@@ -27,9 +27,13 @@ step is linear exactly when the A_i over S cover P.
 That is O(n) int operations per step, whatever the number of
 predecessors.  The same masks first check that the sequence is a
 minimal generating set: g_j divides g_k exactly when position j lies in
-no gt[i][g_k,i].  A fixed order has one step path, ``check_lq_order``,
-which ``verify()``, ``revlex_lq`` and the Veronese constructions all
-call; ``find_lq_order`` searches on the same checked masks.
+no gt[i][g_k,i].  A proper divisor has lower degree, so after a set of
+exponent tuples rejects equal members, each position is checked only
+against the positions of lower degree, and a sequence of one degree (a
+Veronese extension, a revlex order) runs no such check.  A fixed order
+has one step path, ``check_lq_order``, which ``verify()``, ``revlex_lq``
+and the Veronese constructions all call; ``find_lq_order`` searches on
+the same checked masks.
 """
 
 from __future__ import annotations
@@ -43,11 +47,9 @@ from .ideal import (
     ResourceLimitExceeded,
     ZeroIdealError,
     _require_proper,
-    ideal_product,
     is_single_degree,
-    maximal_ideal,
 )
-from .polymatroid import VeroneseParams, _veronese_components, veronese
+from .polymatroid import VeroneseParams, _veronese_components, _veronese_exponents
 
 DEFAULT_SEARCH_CAP = 20
 
@@ -135,21 +137,41 @@ def _mask_step(
 
 def _minimal_masks(base: MonomialIdeal, seq: tuple[Monomial, ...]) -> list[dict[int, int]] | None:
     """The masks of ``seq`` (base plus order), after checking that its
-    members have the base's nvars and that none divides another: g_j
-    divides g_k exactly when j lies in no ``gt[i][g_k,i]``.  A sequence
-    of at most one member has no step with predecessors: no masks."""
-    if any(g.nvars != base.nvars for g in seq):
+    members have the base's nvars and that none divides another.
+
+    A member divides another of its own degree only when the two are
+    equal, so one set of exponent tuples rejects repeats.  A proper
+    divisor has lower degree, so each position g_k is then checked only
+    against the positions of lower degree: g_j divides g_k exactly when
+    j lies in no ``gt[i][g_k,i]``.  A sequence of one degree runs no
+    such check, and one of at most one member builds no masks.
+    """
+    n = base.nvars
+    if any(len(g.exps) != n for g in seq):
         raise ValueError("nvars mismatch in generator sequence")
     if len(seq) < 2:
         return None
+    if len({g.exps for g in seq}) != len(seq):
+        raise ValueError("base plus order is not a minimal generating set")
     gt = _masks(seq)
-    everything = (1 << len(seq)) - 1
+    at: dict[int, int] = {}  # degree -> the positions of that degree
     for k, g in enumerate(seq):
-        cover = 1 << k
-        for col, e in zip(gt, g.exps):
-            cover |= col[e]
-        if cover != everything:
-            raise ValueError("base plus order is not a minimal generating set")
+        at[g.degree] = at.get(g.degree, 0) | 1 << k
+    if len(at) > 1:
+        lower: dict[int, int] = {}  # degree -> the positions of lower degree
+        below = 0
+        for deg in sorted(at):
+            lower[deg] = below
+            below |= at[deg]
+        for g in seq:
+            need = lower[g.degree]
+            if not need:
+                continue
+            cover = 0
+            for col, e in zip(gt, g.exps):
+                cover |= col[e]
+            if need & ~cover:
+                raise ValueError("base plus order is not a minimal generating set")
     return gt
 
 
@@ -277,6 +299,11 @@ def extend_lq_veronese(
     then those of J and the later ones still a + 1; it keys on
     (1, s, u_s, u).  Parts and u sort lex-descending.  The order is
     verified step by step; a failure would falsify the construction.
+
+    The generator sets are built on exponent tuples:
+    G(I*m) = {a + e_i : a in G(I)}, all of degree d+1 and so already
+    minimal, and G(J) is the capped exponent vectors of q.  Monomials are
+    built once, for the base in lex order and for the appended order.
     """
     n = p.nvars
     if q.nvars != n:
@@ -284,26 +311,29 @@ def extend_lq_veronese(
     if q.d != p.d + 1:
         raise ValueError("target degree must be the source degree plus one")
 
-    Im = ideal_product(veronese(p), maximal_ideal(n))
-    im_gens = set(Im.gens)
-    j_gens = set(veronese(q).gens)
+    im_exps = {
+        a[:i] + (a[i] + 1,) + a[i + 1:] for a in _veronese_exponents(p) for i in range(n)
+    }
+    j_exps = set(_veronese_exponents(q))
     # both ideals are generated in degree d+1, so containment is inclusion
     # of the generator sets
-    if not im_gens <= j_gens:
+    if not im_exps <= j_exps:
         raise ValueError("precondition violated: I*m is not contained in J")
 
     raised = tuple(a + 1 for a in p.caps)
 
-    def key(u: Monomial):
-        desc = tuple(-e for e in u.exps)
-        above = [i for i, (e, c) in enumerate(zip(u.exps, raised)) if e > c]
+    def key(u: tuple[int, ...]):
+        desc = tuple(-e for e in u)
+        above = [i for i, (e, c) in enumerate(zip(u, raised)) if e > c]
         if above:
-            return (1, above[-1], u.exps[above[-1]], desc)
-        at_cap = [e == c for e, c in zip(u.exps, raised)]
-        part = tuple(-e if hit else 0 for e, hit in zip(u.exps, at_cap))
+            return (1, above[-1], u[above[-1]], desc)
+        at_cap = [e == c for e, c in zip(u, raised)]
+        part = tuple(-e if hit else 0 for e, hit in zip(u, at_cap))
         return (0, sum(at_cap), part, desc)
 
-    appended = sorted(j_gens - im_gens, key=key)
+    # lex order is the canonical order within one degree
+    Im = MonomialIdeal._raw(n, tuple(Monomial(a) for a in sorted(im_exps)))
+    appended = [Monomial(u) for u in sorted(j_exps - im_exps, key=key)]
     cert, failed_at = check_lq_order(Im, appended)
     if cert is None:
         raise AssertionError(

@@ -440,6 +440,14 @@ class TestErrors:
         assert time.perf_counter() - t0 < 2.0
         assert "scanned 1 ideals" in capsys.readouterr().out
 
+    def test_sampled_scan_draws_are_counted_before_they_are_drawn(self, capsys):
+        # 3 samples of up to 10^8 generators each, against the default 5,000,000
+        t0 = time.perf_counter()
+        argv = ["scan", "--nvars", "2", "--maxdeg", "2", "--maxgens", "100000000", "--samples", "3"]
+        assert run(argv) == 3
+        assert time.perf_counter() - t0 < 2.0
+        assert "implies up to 300000000 generators" in capsys.readouterr().err
+
     def test_decomposition_over_budget_exit_3(self, capsys):
         # the 13-edge matching has 2^13 components; the pruning would
         # compare 448 * 447 pairs once 448 of them have accrued

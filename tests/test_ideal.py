@@ -1,6 +1,8 @@
 """Core monomial-ideal arithmetic: parsing, minimalization, colon,
 saturation, localization, combinations, components."""
 
+import itertools
+import random
 import re
 
 import pytest
@@ -14,6 +16,7 @@ from polymat.ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     ZeroIdealError,
+    capped_exponents,
     colon,
     colons,
     combine,
@@ -326,6 +329,20 @@ class TestEnumeration:
     def test_monomials_of_degree_count(self):
         assert len(list(monomials_of_degree(3, 3))) == 10
         assert [str(m) for m in monomials_of_degree(2, 2)] == ["x2^2", "x1*x2", "x1^2"]
+
+    def test_capped_exponents_match_a_filtered_product(self):
+        # random caps, zeros included, against a lex-sorted brute force
+        rng = random.Random(19)
+        for n in range(1, 6):
+            for _ in range(6):
+                caps = tuple(rng.randint(0, 3) for _ in range(n))
+                for d in range(7):
+                    expected = sorted(
+                        e for e in itertools.product(*(range(a + 1) for a in caps)) if sum(e) == d
+                    )
+                    assert list(capped_exponents(d, caps)) == expected, (d, caps)
+        assert list(capped_exponents(2, ())) == []
+        assert list(capped_exponents(-1, (3, 3))) == []
 
     def test_divisors(self):
         divs = lcm_divisors(I("x1^2*x2", 2))

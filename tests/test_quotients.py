@@ -65,6 +65,10 @@ class TestCheckOrder:
             check_lq_order(zero(2), parse_generators("x1, x1*x2", 2))
         with pytest.raises(ValueError):
             check_lq_order(I("x1", 2), parse_generators("x1*x2", 2))
+        # the divisor lies two degrees below its multiple, past an
+        # unrelated member of the degree between
+        with pytest.raises(ValueError):
+            check_lq_order(zero(3), parse_generators("x2^2, x1*x3^2, x1", 3))
 
     def test_certificate_tampering_detected(self):
         cert, _ = check_lq_order(zero(3), parse_generators("x1*x2, x1*x3^2, x2*x3^2", 3))
@@ -259,6 +263,23 @@ class TestExtendVeronese:
                             continue
                         cert = extend_lq_veronese(p, q)
                         assert cert.verify()
+
+    def test_generator_sets_match_the_ideal_arithmetic(self):
+        # every criterion-9 pair with n <= 3: the tuple-built base and
+        # appended set against I*m and G(J) built as ideals
+        for n in range(1, 4):
+            for d in range(1, 4):
+                for caps_p in itertools.product(range(d + 2), repeat=n):
+                    if sum(caps_p) < d:
+                        continue
+                    p = VeroneseParams(d, caps_p)
+                    Im = ideal_product(veronese(p), maximal_ideal(n))
+                    lows = [min(a + 1, d + 1) for a in caps_p]
+                    for caps_q in itertools.product(*(range(lo, d + 2) for lo in lows)):
+                        q = VeroneseParams(d + 1, caps_q)
+                        cert = extend_lq_veronese(p, q)
+                        assert cert.base == Im, (p, q)
+                        assert set(cert.appended) == set(veronese(q).gens) - set(Im.gens), (p, q)
 
 
 class TestComponentwiseVeroneseChain:
@@ -497,11 +518,15 @@ def test_revlex_certificates_verify(gens, increasing):
 def mixed_sequences(draw):
     """A base ideal and an order that is often no minimal generating set
     with it: a repeat, a divisor or multiple of a member, a multiple of
-    a base generator, or a member with another number of variables."""
+    a base generator, a member with another number of variables, a
+    repeat in an order of several degrees, or a proper divisor placed
+    after its multiple."""
     n = draw(st.integers(1, 3))
     base = MonomialIdeal(n, draw(st.lists(_exponent_monomials(n), max_size=3)))
     order = draw(st.lists(_exponent_monomials(n), max_size=4))
-    flaw = draw(st.sampled_from(["none", "repeat", "multiple", "divisor", "base", "nvars"]))
+    flaw = draw(st.sampled_from(
+        ["none", "repeat", "multiple", "divisor", "base", "nvars", "degree-repeat", "late-divisor"]
+    ))
     if flaw == "repeat" and order:
         order.append(draw(st.sampled_from(order)))
     elif flaw == "multiple" and order:
@@ -513,7 +538,22 @@ def mixed_sequences(draw):
         order.append(draw(st.sampled_from(base.gens)) * draw(_exponent_monomials(n)))
     elif flaw == "nvars":
         order.append(draw(_exponent_monomials(n + 1)))
-    return base, draw(st.permutations(order))
+    order = draw(st.permutations(order))
+    if flaw == "degree-repeat" and order:
+        u = draw(st.sampled_from(order))
+        other = draw(_exponent_monomials(n))
+        if other.degree == u.degree:
+            other = other * Monomial((1,) * n)
+        order.append(other)  # the order now spans at least two degrees
+        order.insert(draw(st.integers(0, len(order))), u)
+    elif flaw == "late-divisor" and any(u.degree for u in order):
+        k = draw(st.sampled_from([k for k, u in enumerate(order) if u.degree]))
+        u = order[k]
+        i = draw(st.sampled_from([i for i, e in enumerate(u.exps) if e]))
+        w = [draw(st.integers(0, e)) for e in u.exps]
+        w[i] = draw(st.integers(0, u.exps[i] - 1))  # a proper divisor of u
+        order.insert(draw(st.integers(k + 1, len(order))), Monomial(tuple(w)))
+    return base, order
 
 
 @settings(max_examples=400, deadline=None)
