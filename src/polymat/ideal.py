@@ -12,7 +12,7 @@ text grammar ``x1*x3^2, x2^2``.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -516,17 +516,26 @@ def colons(I: MonomialIdeal) -> Iterator[tuple[Monomial, MonomialIdeal]]:
     Every colon ideal I : u equals I : gcd(u, lcm(G(I))), so these cover
     "all monomials u".  The divisors number prod(e_i + 1) over the
     exponents e_i of the lcm; that count is checked against
-    DEFAULT_MONOMIAL_BUDGET before any divisor is built.
+    DEFAULT_MONOMIAL_BUDGET before any colon is built.  A best-first walk
+    pops the least u and, from the first u of each colon J, pushes J : x_i
+    at u * x_i while u_i is below the lcm; (degree, lex) is a monomial
+    order, so each colon first pops at its least u.
     """
     top = I.lcm_gens()
     if top is None:
         return
     _check_enumeration("colons", math.prod(e + 1 for e in top.exps), "divisors")
-    seen: set[MonomialIdeal] = set()
-    grid = itertools.product(*(range(e + 1) for e in top.exps))
-    for exps in sorted(grid, key=lambda t: (sum(t), t)):
-        u = Monomial(exps)
-        J = colon(I, u)
-        if not J.is_unit and J not in seen:
-            seen.add(J)
-            yield u, J
+    n = I.nvars
+    xs = [Monomial(tuple(int(k == i) for k in range(n))) for i in range(n)]
+    heap, pushed, seen = [(0, (0,) * n, I)], {(0,) * n}, set()
+    while heap:
+        d, exps, J = heapq.heappop(heap)
+        if J.is_unit or J in seen:
+            continue  # the unit ideal's colons are all the unit ideal
+        seen.add(J)
+        yield Monomial(exps), J
+        for i, cap in enumerate(top.exps):
+            v = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+            if exps[i] < cap and v not in pushed:
+                pushed.add(v)
+                heapq.heappush(heap, (d + 1, v, colon(J, xs[i])))

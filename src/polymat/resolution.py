@@ -5,21 +5,24 @@ the (i-1)-st reduced homology of the upper Koszul complex
 
     K^b = { squarefree tau : x^b / x^tau lies in the ideal }
 
-over the chosen prime field contributes to beta_{i, deg b}.  K^b is read
-straight from the minimal generators: each generator g dividing x^b
-gives the facet {i : g_i < b_i}.  A K^b whose maximal faces share a
-vertex is a cone, has no reduced homology and is skipped; any other is
-expanded once from its maximal faces.  Boundary ranks are exact:
-fraction-free integer elimination in characteristic 0, modular
-elimination at a prime.  ``has_linear_resolution`` and
-``has_linear_relations`` stop at the first multidegree off their strand.
+over the chosen prime field contributes to beta_{i, deg b} (Miller and
+Sturmfels, GTM 227, Thm 1.34).  With D the generators dividing x^b, tau
+is a face exactly when some g in D has g_i < b_i for every i in tau: one
+AND of generator bitmasks per step of a depth-first walk.  Cones have no
+homology.  Boundary ranks are exact: GF(2) ranks by an XOR basis, lifted
+to the rationals by fraction-free elimination only where the GF(2)
+homology leaves room, and modular elimination at an odd prime.
+``has_linear_resolution`` and ``has_linear_relations`` stop at the first
+multidegree off their strand.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .ideal import (
     MonomialIdeal,
@@ -135,81 +138,106 @@ def matrix_rank(rows: list[list[int]], char: int) -> int:
     return rank_exact(rows) if char == 0 else rank_mod_p(rows, char)
 
 
+def rank_gf2(columns: list[int]) -> int:
+    """Rank over GF(2) of vectors held as int bitsets, by an XOR basis."""
+    basis: dict[int, int] = {}
+    for v in columns:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
 # ---------------------------------------------------------------------------
 # simplicial complexes and reduced homology
 # ---------------------------------------------------------------------------
 
 class SimplicialComplex:
-    """An abstract simplicial complex, stored by its maximal faces.
+    """A simplicial complex as vertex masks over its facets: bit j of
+    ``masks[k]`` is set when facet j contains vertex k, and tau is a face
+    when ``facets`` (a bit per facet) AND the masks over tau is nonzero.
+    Without facets it is void; one empty facet gives the complex whose
+    only face is the empty set, with reduced homology 1 in dimension -1."""
 
-    A complex with no faces at all is void; the complex whose only face
-    is the empty set is allowed and has reduced homology of rank 1 in
-    dimension -1.
-    """
+    __slots__ = ("facets", "masks")
 
-    __slots__ = ("maximal_faces",)
-
-    def __init__(self, faces: "list[frozenset[int]] | set[frozenset[int]]"):
-        faces = {frozenset(f) for f in faces}
-        self.maximal_faces = [f for f in faces if not any(f < g for g in faces)]
+    def __init__(self, facets: int, masks: list[int]):
+        self.facets, self.masks = facets, masks
 
     @property
     def is_void(self) -> bool:
-        return not self.maximal_faces
+        return not self.facets
 
     @property
     def is_cone(self) -> bool:
-        """Some vertex lies in every maximal face, so the complex is a
-        cone over it and has no reduced homology."""
-        if not self.maximal_faces:
-            return False
-        return bool(frozenset.intersection(*self.maximal_faces))
+        """Some vertex lies in every maximal face: no reduced homology."""
+        return self._walk()[1]
+
+    def _walk(self) -> tuple[list[list[int]], bool]:
+        """The faces as vertex bitmasks, dimension k in layer k + 1, walked
+        depth first with one AND per step, and whether some vertex extends
+        every leaf of the walk, that is, lies in every maximal face."""
+        masks, layers, apex = self.masks, [], list(range(len(self.masks)))
+        stack = [(0, self.facets, 0, 0)] if self.facets else []
+        while stack:
+            face, common, start, size = stack.pop()
+            if size == len(layers):
+                layers.append([])
+            layers[size].append(face)
+            leaf = True
+            for k in range(start, len(masks)):
+                if common & masks[k]:
+                    leaf = False
+                    stack.append((face | 1 << k, common & masks[k], k + 1, size + 1))
+            if leaf and apex:
+                apex = [v for v in apex if common & masks[v]]
+        return layers, bool(layers and apex)
 
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
-        """Every face as a sorted tuple, grouped by dimension and sorted;
-        the empty face has dimension -1."""
-        by_dim: dict[int, set[tuple[int, ...]]] = {}
-        for f in self.maximal_faces:
-            vertices = sorted(f)
-            for k in range(len(vertices) + 1):
-                by_dim.setdefault(k - 1, set()).update(itertools.combinations(vertices, k))
-        return {k: sorted(fs) for k, fs in by_dim.items()}
+        """Every face as a sorted tuple, by dimension (-1 for the empty face)."""
+        vertices, layers = range(len(self.masks)), self._walk()[0]
+        return {j - 1: sorted(tuple(v for v in vertices if f >> v & 1) for f in fs) for j, fs in enumerate(layers)}
 
     def reduced_homology_ranks(self, char: int = 0) -> dict[int, int]:
-        """Ranks of the reduced homology groups, keyed by dimension.
+        """Ranks of the reduced homology groups, keyed by dimension from -1.
 
-        Dimensions run from -1 (the empty face) upward; the void complex
-        returns an empty mapping.  The rank in dimension k is
-        c_k - r_k - r_{k+1} (faces minus the ranks of the boundary maps
-        out of and into dimension k).  The image of d_{k+1} lies in the
-        kernel of d_k, so a negative value means a wrong rank and raises.
-        """
+        In characteristic 0 each boundary rank is first taken over GF(2).
+        It can only grow over the rationals and no homology is negative, so
+        it is redone exactly only where the GF(2) homology is nonzero in
+        both dimensions it touches."""
         _validate_char(char)
-        if self.is_void:
+        # a facet holding every vertex makes a simplex, a cone read off the masks alone
+        simplex = self.masks and reduce(and_, self.masks, self.facets)
+        layers, cone = ([], True) if simplex else self._walk()
+        if cone:
             return {}
-        by_dim = self.faces()
-        maxdim = max(by_dim)
-        ranks = {k: matrix_rank(_boundary_matrix(by_dim, k), char) for k in range(maxdim + 1)}
-        homology = {
-            k: len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            for k in range(-1, maxdim + 1)
-        }
-        if any(h < 0 for h in homology.values()):
-            raise AssertionError(f"negative homology rank {homology}: a boundary rank is wrong")
-        return {k: h for k, h in homology.items() if h}
+        # onto the empty face the boundary has rank 1 in every field, 0 without vertices
+        above = (_boundary_rank(layers, j, char or 2) for j in range(2, len(layers)))
+        ranks = [0, min(len(layers) - 1, 1), *above, 0]
+        homology = _homology(layers, ranks)
+        lifted = [j for j in range(1, len(layers)) if homology[j] and homology[j - 1]] if char == 0 else []
+        for j in lifted:
+            ranks[j] = _boundary_rank(layers, j, 0)
+        return {j - 1: h for j, h in enumerate(_homology(layers, ranks) if lifted else homology) if h}
 
 
-def _boundary_matrix(by_dim: dict[int, list[tuple[int, ...]]], k: int) -> list[list[int]]:
-    """The boundary map from dimension-k faces to dimension-(k-1) faces."""
-    rows_faces = by_dim.get(k - 1, [])
-    cols_faces = by_dim.get(k, [])
-    index = {f: r for r, f in enumerate(rows_faces)}
-    matrix = [[0] * len(cols_faces) for _ in rows_faces]
-    for c, face in enumerate(cols_faces):
-        for t in range(len(face)):
-            sub = face[:t] + face[t + 1:]
-            matrix[index[sub]][c] = -1 if t % 2 else 1
-    return matrix
+def _homology(layers: list[list[int]], ranks: list[int]) -> list[int]:
+    """Faces minus the boundary ranks out of and into each layer; raises if negative."""
+    homology = [len(fs) - ranks[j] - ranks[j + 1] for j, fs in enumerate(layers)]
+    if any(h < 0 for h in homology):
+        raise AssertionError(f"negative homology rank {homology}: a boundary rank is wrong")
+    return homology
+
+
+def _boundary_rank(layers: list[list[int]], j: int, char: int) -> int:
+    """Rank of the boundary map out of layer j: by ``rank_gf2`` at 2, else on signed rows."""
+    row = {f: 1 << r for r, f in enumerate(layers[j - 1])}
+    cols = [[row[f ^ v] for v in sorted(layers[1]) if f & v] for f in layers[j]]
+    if char == 2:
+        return rank_gf2([sum(col) for col in cols])
+    rows = [[(-1) ** col.index(bit) if bit in col else 0 for col in cols] for bit in row.values()]
+    return matrix_rank(rows, char)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +261,7 @@ class BettiTable:
         return all(j == i + d for (i, j) in self.entries)
 
     def to_json(self) -> list[dict]:
-        return [
-            {"i": i, "j": j, "rank": r}
-            for (i, j), r in sorted(self.entries.items())
-        ]
+        return [{"i": i, "j": j, "rank": r} for (i, j), r in sorted(self.entries.items())]
 
     def __str__(self) -> str:
         lines = [f"beta_{{{i},{j}}} = {r}" for (i, j), r in sorted(self.entries.items())]
@@ -259,34 +284,42 @@ def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_LATTICE_BUDGET) -> list[
     return sorted(lattice, key=lambda b: (sum(b), b))
 
 
-def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComplex:
-    """The complex of squarefree tau inside supp(b) with x^b / x^tau in I.
+def _generator_masks(I: MonomialIdeal) -> list[tuple[list[int], list[int]]]:
+    """Per variable, the distinct exponents among G(I), ascending, and the
+    masks of the generators with exponent at most each, after a leading 0."""
+    columns = []
+    for column in zip(*(g.exps for g in I.gens)):
+        bits: dict[int, int] = {}
+        for j, e in enumerate(column):
+            bits[e] = bits.get(e, 0) | 1 << j
+        values, upto = sorted(bits), [0]
+        for v in values:
+            upto.append(upto[-1] | bits[v])
+        columns.append((values, upto))
+    return columns
 
-    Read from G(I): a generator g divides x^b / x^tau exactly when g
-    divides x^b and tau avoids every i with g_i = b_i, so the generators
-    dividing x^b give the facets {i : g_i < b_i}.  Vertices are
-    relabelled 0..k-1 along the support of b; only the face
-    combinatorics matter for homology.
-    """
-    supp = [i for i, e in enumerate(b) if e > 0]
-    facets = []
-    for g in I.gens:
-        exps = g.exps
-        if all(x <= y for x, y in zip(exps, b)):
-            facets.append(frozenset(k for k, i in enumerate(supp) if exps[i] < b[i]))
-    return SimplicialComplex(facets)
+
+def upper_koszul_complex(
+    I: MonomialIdeal, b: tuple[int, ...], columns: list | None = None
+) -> SimplicialComplex:
+    """The complex of squarefree tau inside supp(b) with x^b / x^tau in I,
+    vertices relabelled 0..k-1 along supp(b).  A generator g divides
+    x^b / x^tau exactly when g divides x^b and g_i < b_i for each i in
+    tau; ``columns`` is ``_generator_masks(I)``, when already built."""
+    columns = columns or _generator_masks(I)
+    D = reduce(and_, (upto[bisect.bisect_right(values, e)] for (values, upto), e in zip(columns, b)), -1)
+    masks = [D & upto[bisect.bisect_left(values, e)] for (values, upto), e in zip(columns, b) if e]
+    return SimplicialComplex(D, masks)
 
 
 def _lattice_homology(
     I: MonomialIdeal, char: int, budget: int
 ) -> Iterator[tuple[int, dict[int, int]]]:
-    """(deg b, reduced homology ranks of K^b) over the lcm lattice, lazily,
-    skipping the cones, which have no homology."""
+    """(deg b, reduced homology ranks of K^b) over the lcm lattice, lazily."""
     _validate_char(char)
-    for b in lcm_lattice(I, budget):
-        complex_b = upper_koszul_complex(I, b)
-        if not complex_b.is_cone:
-            yield sum(b), complex_b.reduced_homology_ranks(char)
+    lattice, columns = lcm_lattice(I, budget), _generator_masks(I)
+    for b in lattice:
+        yield sum(b), upper_koszul_complex(I, b, columns).reduced_homology_ranks(char)
 
 
 def betti_table(
@@ -313,11 +346,8 @@ def has_linear_resolution(
     if not is_single_degree(I):
         return False
     d = I.gens[0].degree
-    return all(
-        j == dim + 1 + d
-        for j, homology in _lattice_homology(I, char, budget)
-        for dim in homology
-    )
+    lattice = _lattice_homology(I, char, budget)
+    return all(j == dim + 1 + d for j, homology in lattice for dim in homology)
 
 
 def has_linear_relations(
@@ -343,7 +373,4 @@ def is_componentwise_linear(
     already has a linear resolution, which keeps it linear.
     """
     _require_proper(I, "Betti numbers")
-    for j in I.degrees():
-        if not has_linear_resolution(component(I, j), char, budget):
-            return False
-    return True
+    return all(has_linear_resolution(component(I, j), char, budget) for j in I.degrees())

@@ -391,6 +391,14 @@ class TestColons:
         for ideal in ideals:
             assert list(colons(ideal)) == first_colons(ideal), ideal
 
+    def test_powers_of_m_and_sampled_ideals(self):
+        # m^3 in 5 variables: 1,024 divisors of the lcm but few distinct colons
+        ideals = [power(maximal_ideal(5), 3), power(maximal_ideal(4), 4)]
+        for n, seed in [(4, 11), (5, 12)]:
+            ideals += space_ideals(IdealSpace(n, 3, 5, mode="sampled", samples=40, seed=seed))
+        for ideal in ideals:
+            assert list(colons(ideal)) == first_colons(ideal), ideal
+
     def test_zero_ideal_has_no_colons(self):
         assert list(colons(I("", 2))) == []
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymat import ideal as ideal_module
+from polymat import primes as primes_module
 from polymat.ideal import (
     Monomial,
     MonomialIdeal,
@@ -144,10 +145,20 @@ class TestAssociatedPrimes:
                 assert colon(ideal, w) == prime_ideal(n, p)
 
     def test_stops_at_last_witness(self, monkeypatch):
-        # no colon is built past the divisor that gives the last witness
+        # no colon is built after the walk yields the last witness, and the
+        # walk builds fewer colons than the lcm has divisors
         original = ideal_module.colon
         built = []
         monkeypatch.setattr(ideal_module, "colon", lambda J, u: built.append(u) or original(J, u))
+        built_at_yield = {}
+        walk = primes_module.colons
+
+        def recorded(ideal):
+            for u, J in walk(ideal):
+                built_at_yield[u] = len(built)
+                yield u, J
+
+        monkeypatch.setattr(primes_module, "colons", recorded)
         for text, n in [
             ("x1^2, x1*x2", 2),
             ("x1*x2, x2*x3, x3*x4", 4),
@@ -155,11 +166,11 @@ class TestAssociatedPrimes:
         ]:
             ideal = I(text, n)
             built.clear()
+            built_at_yield.clear()
             res = associated_primes(ideal)
-            divs = lcm_divisors(ideal)
-            last = max(divs.index(w) for w in res.witnesses.values())
-            assert built == divs[: last + 1], text
-            assert len(built) < len(divs), text
+            last = max(res.witnesses.values())
+            assert len(built) == built_at_yield[last], text
+            assert len(built) < len(lcm_divisors(ideal)), text
 
     def test_against_colon_oracle(self):
         cases = [

@@ -127,53 +127,62 @@ class TestCharacteristic:
 # simplicial complexes
 # ---------------------------------------------------------------------------
 
+# the 6-vertex real projective plane: triangles of its triangulation
+RP2_TRIANGLES = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
+def complex_of(facets):
+    """The complex generated by ``facets`` (sets of vertices 0, 1, ...), as
+    the vertex masks over them that ``SimplicialComplex`` holds."""
+    facets = list(facets)
+    nverts = max((max(f) + 1 for f in facets if f), default=0)
+    masks = [sum(1 << j for j, f in enumerate(facets) if v in f) for v in range(nverts)]
+    return SimplicialComplex((1 << len(facets)) - 1, masks)
+
+
 class TestSimplicialComplex:
     def test_void_complex(self):
-        cx = SimplicialComplex([])
+        cx = complex_of([])
         assert cx.is_void
         assert cx.reduced_homology_ranks() == {}
 
     def test_empty_face_only(self):
-        cx = SimplicialComplex([frozenset()])
+        cx = complex_of([frozenset()])
         assert cx.reduced_homology_ranks() == {-1: 1}
 
     def test_two_points(self):
-        cx = SimplicialComplex([frozenset({0}), frozenset({1})])
+        cx = complex_of([frozenset({0}), frozenset({1})])
         assert cx.reduced_homology_ranks() == {0: 1}
 
     def test_closure_from_maximal(self):
-        cx = SimplicialComplex([frozenset({0, 1, 2})])
+        cx = complex_of([frozenset({0, 1, 2})])
         assert sum(len(fs) for fs in cx.faces().values()) == 8
         assert cx.reduced_homology_ranks() == {}
 
     def test_hollow_triangle_is_circle(self):
-        cx = SimplicialComplex([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+        cx = complex_of([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
         assert cx.reduced_homology_ranks() == {1: 1}
 
     def test_cone_has_no_homology(self):
         # maximal faces {0,1} and {0,2} share vertex 0; the extra facet
         # {2} is not maximal and would hide the cone if it were counted
-        cx = SimplicialComplex([frozenset({0, 1}), frozenset({0, 2}), frozenset({2})])
+        cx = complex_of([frozenset({0, 1}), frozenset({0, 2}), frozenset({2})])
         assert not cx.is_void
         assert cx.is_cone
         for char in (0, 2):
             assert cx.reduced_homology_ranks(char) == {}
 
     def test_not_cones(self):
-        assert not SimplicialComplex([]).is_cone
-        assert not SimplicialComplex([frozenset()]).is_cone
-        hollow = SimplicialComplex([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+        assert not complex_of([]).is_cone
+        assert not complex_of([frozenset()]).is_cone
+        hollow = complex_of([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
         assert not hollow.is_cone
 
     def test_projective_plane_char_dependence(self):
-        faces = [
-            frozenset(f)
-            for f in [
-                (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-                (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
-            ]
-        ]
-        cx = SimplicialComplex(faces)
+        cx = complex_of(RP2_TRIANGLES)
         assert cx.reduced_homology_ranks(0) == {}
         assert cx.reduced_homology_ranks(2) == {1: 1, 2: 1}
 
@@ -210,13 +219,16 @@ class TestBettiTable:
 
     def test_wrong_boundary_rank_raises(self, monkeypatch):
         # a rank one too high makes some c_k - r_k - r_{k+1} negative; the
-        # alternating sums of faces and homology would still agree
-        true_rank = resolution.matrix_rank
+        # alternating sums of faces and homology would still agree.  Every
+        # rank the path computes is off by one, over GF(2) and exact alike
+        gf2, exact = resolution.rank_gf2, resolution.matrix_rank
+        monkeypatch.setattr(resolution, "rank_gf2", lambda columns: gf2(columns) + 1)
         monkeypatch.setattr(
-            resolution, "matrix_rank", lambda rows, char: true_rank(rows, char) + 1
+            resolution, "matrix_rank", lambda rows, char: exact(rows, char) + 1
         )
-        with pytest.raises(AssertionError):
-            betti_table(I("x1*x2, x2*x3, x3*x4, x4*x1", 4))
+        for char in (0, 2, 3):
+            with pytest.raises(AssertionError):
+                betti_table(I("x1*x2, x2*x3, x3*x4, x4*x1", 4), char)
 
     def test_zero_unit_rejected(self):
         with pytest.raises(ZeroIdealError):
@@ -353,6 +365,50 @@ class TestLinearity:
         assert has_linear_resolution(m2)
         ci = I("x1^2, x2^2", 2)
         assert not has_linear_resolution(ci)
+
+
+def rp2_ideal():
+    """The Stanley-Reisner ideal of RP^2 on 6 vertices: every edge is a
+    face, so its minimal non-faces are the 10 other triangles."""
+    faces = set(RP2_TRIANGLES)
+    return MonomialIdeal(6, [
+        Monomial(tuple(int(v in t) for v in range(6)))
+        for t in itertools.combinations(range(6), 3) if t not in faces
+    ])
+
+
+class TestProjectivePlane:
+    def test_betti_matches_taylor_oracle_in_three_characteristics(self):
+        ideal = rp2_ideal()
+        assert len(ideal.gens) == 10 and is_single_degree(ideal) and ideal.gens[0].degree == 3
+        tables = {char: betti_table(ideal, char).entries for char in (0, 2, 3)}
+        for char, entries in tables.items():
+            assert entries == taylor_betti(ideal, char), char
+        # Hochster: H~_1 and H~_2 of RP^2 over GF(2) give beta_{3,6} and beta_{2,6}
+        extra = Counter(tables[2])
+        extra.subtract(tables[0])
+        assert +extra == {(2, 6): 1, (3, 6): 1}
+        assert tables[3] == tables[0]
+
+    def test_exact_ranks_only_where_gf2_homology_leaves_room(self, monkeypatch):
+        calls = []
+        exact = resolution.rank_exact
+        monkeypatch.setattr(resolution, "rank_exact", lambda rows: calls.append(rows) or exact(rows))
+        betti_table(rp2_ideal(), 0)
+        assert calls
+        calls.clear()
+        betti_table(power(maximal_ideal(5), 3), 0)
+        assert not calls
+
+
+class TestRankGF2:
+    def test_against_rank_mod_2(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            mat = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
+            columns = [sum(mat[r][c] << r for r in range(rows)) for c in range(cols)]
+            assert resolution.rank_gf2(columns) == rank_mod_p(mat, 2)
 
 
 # ---------------------------------------------------------------------------
