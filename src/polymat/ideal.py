@@ -501,7 +501,10 @@ def capped_exponents(d: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
         for e in range(max(0, remaining - room[pos + 1]), min(caps[pos], remaining) + 1):
             yield from rec(prefix + (e,), remaining - e, pos + 1)
 
-    yield from rec((), d, 0)
+    try:
+        yield from rec((), d, 0)
+    finally:
+        del rec  # rec's closure holds rec: clear the cycle when done or closed
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:

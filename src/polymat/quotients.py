@@ -241,9 +241,11 @@ def find_lq_order(
         dead.add(placed)
         return False
 
-    if extend(0):
-        return LinearQuotientsCertificate(base, tuple(order), tuple(steps))
-    return None
+    try:
+        found = extend(0)
+    finally:
+        del extend  # extend's closure holds extend: clear the cycle
+    return LinearQuotientsCertificate(base, tuple(order), tuple(steps)) if found else None
 
 
 # ---------------------------------------------------------------------------

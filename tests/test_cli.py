@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 from hypothesis import given, settings, strategies as st
 
-from polymat import cli
+from polymat import cli, resolution
 from polymat.cli import run
 from polymat.ideal import parse_ideal
 from polymat.lab import IdealSpace, scan_conjecture
@@ -180,6 +180,29 @@ class TestPredicates:
         assert time.perf_counter() - t0 < 2.0
         assert code == 1 and data["result"] is False and data["failing_degree"] == 60
 
+    def test_linear_checks_read_certificates(self, capsys, monkeypatch):
+        # m^2 has linear quotients in decreasing revlex: no lattice homology
+        def no_lattice(*args):
+            raise AssertionError("lattice homology on a certified ideal")
+
+        m2 = "x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2"
+        with monkeypatch.context() as patched:
+            patched.setattr(resolution, "_lattice_homology", no_lattice)
+            for prop in ("linear-resolution", "linear-relations", "cw-linear"):
+                assert run(["check", prop, "-n", "3", m2]) == 0, prop
+        # without a certificate the lattice decides: linear relations only
+        cubics = "x1^3, x1^2*x2, x1^2*x3, x2^3, x1*x2^2, x2^2*x3, x3^3, x1*x3^2, x2*x3^2"
+        assert run(["check", "linear-relations", "-n", "3", cubics]) == 0
+        assert run(["check", "linear-resolution", "-n", "3", cubics]) == 1
+        assert run(["check", "cw-linear", "-n", "3", cubics]) == 1
+
+    def test_componentwise_linear_across_a_wide_gap(self, capsys):
+        # I_<20> has 211 generators and linear quotients in decreasing revlex
+        t0 = time.perf_counter()
+        code, data = run_json(capsys, ["check", "cw-linear", "-n", "3", "x1, x2^20"])
+        assert time.perf_counter() - t0 < 0.2
+        assert code == 0 and data["result"] is True
+
     def test_zero_unit_messages_name_the_operation(self, capsys):
         for argv, noun in (
             (["ass", "-n", "2", "1"], "decomposition"),
@@ -333,6 +356,15 @@ class TestErrors:
             ["scan", "--nvars", "2", "--maxdeg", "2", "--maxgens", "3"],
         ):
             assert run(argv + ["--budget", "0"]) == 3, argv
+            assert "budget" in capsys.readouterr().err
+
+    def test_certificate_path_counts_generators_against_the_budget(self, capsys):
+        # m^2 in four variables: 10 generators, 76 lattice points; its
+        # certificate reads the table after charging only the generators
+        m2 = "x1^2, x1*x2, x1*x3, x1*x4, x2^2, x2*x3, x2*x4, x3^2, x3*x4, x4^2"
+        for argv in (["betti", "-n", "4", m2], ["check", "linear-resolution", "-n", "4", m2]):
+            assert run(argv + ["--budget", "20"]) == 0, argv
+            assert run(argv + ["--budget", "9"]) == 3, argv
             assert "budget" in capsys.readouterr().err
 
     def test_localize_prime_out_of_range_exit_2(self, capsys):

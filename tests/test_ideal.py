@@ -1,6 +1,7 @@
 """Core monomial-ideal arithmetic: parsing, minimalization, colon,
 saturation, localization, combinations, components."""
 
+import gc
 import itertools
 import random
 import re
@@ -343,6 +344,21 @@ class TestEnumeration:
                     assert list(capped_exponents(d, caps)) == expected, (d, caps)
         assert list(capped_exponents(2, ())) == []
         assert list(capped_exponents(-1, (3, 3))) == []
+
+    def test_capped_exponents_leave_no_cycle(self):
+        # the recursive helper refers to itself; its cell is cleared when
+        # the generator finishes or is closed, so refcounting frees it all
+        gc.collect()
+        gc.disable()
+        try:
+            for caps in ((2, 2), (2, 1, 2), (3, 3, 3, 3)):
+                list(capped_exponents(3, caps))
+                partial = capped_exponents(3, caps)
+                next(partial)
+                del partial
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_divisors(self):
         divs = lcm_divisors(I("x1^2*x2", 2))

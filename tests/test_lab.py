@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymat import lab
+from polymat import lab, resolution
 from polymat.ideal import (
     Monomial,
     MonomialIdeal,
@@ -183,6 +183,47 @@ class TestVerifyEquivalencesColonsOnce:
             verify_equivalences(ideal)
             assert seen and len(seen) == len(set(seen)), text
             assert not any(J.is_unit for J in seen), text
+
+
+class TestIndependentOfCertificateBetti:
+    """Condition d and the scan's forward check decide linear resolutions
+    by lattice homology alone, never off a linear-quotients certificate."""
+
+    IDEALS = (
+        ("x1*x2, x1*x3, x2*x3", 3),
+        ("x1^2, x1*x2, x3^2, x2*x3", 3),
+        ("x1*x2, x1*x3^2, x2*x3^2", 3),
+        ("x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2", 3),
+        ("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6),
+    )
+
+    def test_reports_unchanged_when_the_shortcut_raises(self, monkeypatch):
+        space = IdealSpace(nvars=3, maxdeg=2, maxgens=3)
+
+        def reports():
+            records = [verify_equivalences(I(text, n), char).to_json() for text, n in self.IDEALS for char in (0, 2)]
+            return json.dumps([records, scan_conjecture(space).stable_json()], sort_keys=True)
+
+        expected = reports()
+
+        def shortcut(*args, **kwargs):
+            raise AssertionError("certificate shortcut taken")
+
+        monkeypatch.setattr(resolution, "_certificate_betti", shortcut)
+        monkeypatch.setattr(resolution, "revlex_lq", shortcut)
+        assert reports() == expected
+
+    def test_suite_gap_item_agrees_with_the_lattice(self, monkeypatch):
+        # the nonpure-exchange gap ideal's colons are componentwise linear
+        # off certificates and by lattice homology alike
+        def gap_item():
+            (item,) = [it for it in example_suite(0).items if it["name"] == "nonpure-exchange-gap"]
+            return item
+
+        expected = gap_item()
+        assert expected["passed"] and expected["details"]["colons_componentwise_linear"]
+        monkeypatch.setattr(resolution, "_certificate_betti", lambda *args: None)
+        assert gap_item() == expected
 
 
 class TestVerifySquarefree:

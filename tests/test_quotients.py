@@ -1,6 +1,7 @@
 """Linear-quotients certificates: checking, exhaustive search, reverse-lex
 orders, and the Veronese extension construction."""
 
+import gc
 import itertools
 
 import pytest
@@ -116,6 +117,19 @@ class TestFindOrder:
             ideal = veronese(params)
             cert = find_lq_order(zero(ideal.nvars), ideal.gens)
             assert cert is not None and cert.verify()
+
+    def test_search_leaves_no_cycle(self):
+        # the recursive search refers to itself; its cell is cleared after
+        # the search, so its masks and memo go with the last reference
+        cases = [parse_generators("x1*x2, x1*x3^2, x2*x3^2", 3), parse_generators("x1*x2, x3*x4", 4)]
+        gc.collect()
+        gc.disable()
+        try:
+            for gens in cases:
+                find_lq_order(zero(len(gens[0].exps)), gens)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cap_enforced(self):
         gens = list(power(maximal_ideal(3), 3).gens)

@@ -6,6 +6,7 @@ import itertools
 from collections import Counter
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,10 @@ from polymat.ideal import (
     ResourceLimitExceeded,
     UnitIdealError,
     ZeroIdealError,
+    capped_exponents,
     is_single_degree,
     maximal_ideal,
+    monomials_of_degree,
     parse_ideal,
     power,
 )
@@ -220,7 +223,10 @@ class TestBettiTable:
     def test_wrong_boundary_rank_raises(self, monkeypatch):
         # a rank one too high makes some c_k - r_k - r_{k+1} negative; the
         # alternating sums of faces and homology would still agree.  Every
-        # rank the path computes is off by one, over GF(2) and exact alike
+        # rank the path computes is off by one, over GF(2) and exact alike.
+        # The 5-cycle is not linear, so no certificate bypasses the ranks
+        pentagon = I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x1", 5)
+        assert resolution._certificate_betti(pentagon, 0, 50) is None
         gf2, exact = resolution.rank_gf2, resolution.matrix_rank
         monkeypatch.setattr(resolution, "rank_gf2", lambda columns: gf2(columns) + 1)
         monkeypatch.setattr(
@@ -228,7 +234,7 @@ class TestBettiTable:
         )
         for char in (0, 2, 3):
             with pytest.raises(AssertionError):
-                betti_table(I("x1*x2, x2*x3, x3*x4, x4*x1", 4), char)
+                betti_table(pentagon, char)
 
     def test_zero_unit_rejected(self):
         with pytest.raises(ZeroIdealError):
@@ -397,8 +403,64 @@ class TestProjectivePlane:
         betti_table(rp2_ideal(), 0)
         assert calls
         calls.clear()
-        betti_table(power(maximal_ideal(5), 3), 0)
-        assert not calls
+        # m^3 has a certificate, so its lattice path is called directly
+        table = resolution._lattice_betti(power(maximal_ideal(5), 3), 0, 50_000)
+        assert table.entries and not calls
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def query_base_ideals(monkeypatch):
+    """The base ideal of each type of the benchmark's ``query`` workload."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return [
+        MonomialIdeal(n, [Monomial(g) for g in gens])
+        for n, gens in (workloads.query_variants(t)[0] for t in range(len(workloads.QUERY_TYPES)))
+    ]
+
+
+class TestCertificateBetti:
+    """Tables read off a decreasing-revlex linear-quotients certificate
+    (Herzog-Takayama) against the lattice path and the Taylor oracle."""
+
+    def test_equals_lattice_on_exhaustive_space(self):
+        certified = 0
+        for ideal in exhaustive_space_ideals(3, 3, 4):
+            if not is_single_degree(ideal):
+                assert resolution._certificate_betti(ideal, 0, 50_000) is None
+                continue
+            for char in (0, 2, 3):
+                table = resolution._certificate_betti(ideal, char, 50_000)
+                if table is not None:
+                    assert table == resolution._lattice_betti(ideal, char, 50_000), (str(ideal), char)
+                    certified += char == 0
+        assert certified == 152
+
+    def test_equals_lattice_on_query_ideals(self, monkeypatch):
+        ideals = query_base_ideals(monkeypatch)
+        assert len(ideals) == 16
+        for ideal in ideals:
+            for char in (0, 2, 3):
+                table = resolution._certificate_betti(ideal, char, 50_000)
+                assert table is not None, str(ideal)
+                assert table == resolution._lattice_betti(ideal, char, 50_000), (str(ideal), char)
+                assert betti_table(ideal, char) == table
+
+    def test_budget_counts_generators(self):
+        m2 = power(maximal_ideal(4), 2)
+        assert len(m2.gens) == 10 and len(lcm_lattice(m2)) == 76
+        assert betti_table(m2, budget=10).entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}
+        with pytest.raises(ResourceLimitExceeded):
+            betti_table(m2, budget=9)
+        # a mixed-degree ideal is never read off a certificate
+        assert resolution._certificate_betti(I("x1, x2^2", 2), 0, 0) is None
+
+    def test_char_still_validated(self):
+        with pytest.raises(ValueError):
+            betti_table(I("x1, x2", 2), 4)
 
 
 class TestRankGF2:
@@ -453,3 +515,26 @@ def test_lcm_lattice_is_every_subset_join(gens):
     assert lcm_lattice(ideal, budget=len(lattice)) == lattice
     with pytest.raises(ResourceLimitExceeded):
         lcm_lattice(ideal, budget=len(lattice) - 1)
+
+
+@st.composite
+def single_degree_ideals(draw):
+    """(ideal, whether it must have a certificate): a Veronese-type ideal,
+    which is polymatroidal, or a random set of monomials of one degree."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        caps = draw(st.lists(st.integers(1, d), min_size=n, max_size=n).filter(lambda c: sum(c) >= d))
+        return MonomialIdeal(n, [Monomial(g) for g in capped_exponents(d, caps)]), True
+    pool = list(monomials_of_degree(draw(st.integers(2, 4)), d))
+    return MonomialIdeal(len(pool[0].exps), draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))), False
+
+
+@settings(max_examples=40, deadline=None)
+@given(single_degree_ideals(), st.sampled_from((0, 2, 3)))
+def test_certificate_betti_matches_taylor_property(drawn, char):
+    ideal, must_certify = drawn
+    table = resolution._certificate_betti(ideal, char, 50_000)
+    assert table is not None or not must_certify, str(ideal)
+    if table is not None:
+        assert table.entries == taylor_betti(ideal, char), (str(ideal), char)
