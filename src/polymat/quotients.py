@@ -17,8 +17,10 @@ predecessors give the zero colon and the empty step.
 The test runs on int bitmasks over the positions of the whole sequence,
 built once per sequence in O(N*n), whatever the size of the exponents:
 ``gt[i][t]`` holds the positions k with g_k,i > t, for each exponent t
-of x_(i+1) that occurs in the sequence and for t + 1.  With P the mask
-of the predecessors, A_i = gt[i][v_i] & P holds those whose quotient
+of x_(i+1) that occurs in the sequence and for t - 1 and t + 1; the
+key t - 1 holds the positions with exponent at least t, which the upper
+Koszul complexes of ``resolution`` read off the same index.  With P the
+mask of the predecessors, A_i = gt[i][v_i] & P holds those whose quotient
 involves x_i.  The step fails when the A_i do not cover P (some
 predecessor divides v).  A predecessor lies in exactly one A_i and
 outside gt[i][v_i + 1] exactly when its quotient is x_i, so S is read off
@@ -89,7 +91,9 @@ class LinearQuotientsCertificate:
 
 def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
     """``gt[i][t]``: the positions k of ``seq`` with seq[k]_i > t, as an int
-    bitmask, for every exponent t of x_(i+1) in ``seq`` and every t + 1.
+    bitmask, for every exponent t of x_(i+1) in ``seq`` and every t - 1
+    and t + 1, so ``gt[i][t - 1]`` holds the positions with exponent at
+    least t.
 
     The keys are the exponents that occur, so the build is O(N*n) with a
     sort of each column's distinct exponents, whatever their size.
@@ -107,6 +111,7 @@ def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
             above.setdefault(e + 1, higher)
             above[e] = higher
             higher |= at[e]
+            above[e - 1] = higher  # the positions with exponent at least e
         gt.append(above)
     return gt
 

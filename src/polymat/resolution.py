@@ -8,10 +8,12 @@ the (i-1)-st reduced homology of the upper Koszul complex
 over the chosen prime field contributes to beta_{i, deg b} (Miller and
 Sturmfels, GTM 227, Thm 1.34).  With D the generators dividing x^b, tau
 is a face exactly when some g in D has g_i < b_i for every i in tau: one
-AND of generator bitmasks per step of a depth-first walk.  Cones have no
-homology.  Boundary ranks are exact: GF(2) ranks by an XOR basis, lifted
-to the rationals by fraction-free elimination only where the GF(2)
-homology leaves room, and modular elimination at an odd prime.
+AND of generator bitmasks per step of a depth-first walk.  The masks are
+read from the linear-quotients index ``quotients._masks``, built once per
+ideal.  A full simplex has no homology and is skipped before the walk.
+Boundary ranks are exact: GF(2) ranks by an XOR basis, redone over the
+rationals only where the GF(2) homology leaves room, and at an odd prime
+by the same integer elimination, reduced mod p.
 ``has_linear_resolution`` and ``has_linear_relations`` stop at the first
 multidegree off their strand.
 
@@ -31,13 +33,12 @@ quotients.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .ideal import (
     MonomialIdeal,
@@ -46,7 +47,7 @@ from .ideal import (
     component,
     is_single_degree,
 )
-from .quotients import revlex_lq
+from .quotients import _masks, revlex_lq
 
 DEFAULT_LATTICE_BUDGET = 50_000
 
@@ -54,65 +55,6 @@ DEFAULT_LATTICE_BUDGET = 50_000
 # ---------------------------------------------------------------------------
 # exact rank computation
 # ---------------------------------------------------------------------------
-
-def rank_exact(rows: list[list[int]]) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for r in range(rank + 1, nrows):
-            f = m[r][c]
-            row = m[r]
-            top = m[rank]
-            for cc in range(c + 1, ncols):
-                num = row[cc] * pv - f * top[cc]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination divided inexactly")
-                row[cc] = q
-            row[c] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over the prime field GF(p)."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[x % p for x in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], p - 2, p)
-        top = [(x * inv) % p for x in m[rank]]
-        m[rank] = top
-        for r in range(rank + 1, nrows):
-            f = m[r][c]
-            if f:
-                row = m[r]
-                for cc in range(c, ncols):
-                    row[cc] = (row[cc] - f * top[cc]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
 
 # Witness bases that make Miller-Rabin exact for every n below 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -151,7 +93,31 @@ def _validate_char(char: int) -> None:
 
 
 def matrix_rank(rows: list[list[int]], char: int) -> int:
-    return rank_exact(rows) if char == 0 else rank_mod_p(rows, char)
+    """Rank over the rationals (``char`` 0) or GF(char), by fraction-free
+    elimination: each row below the pivot becomes pivot * row - f * top,
+    reduced mod a prime or divided by the gcd of its entries at 0."""
+    m = [[x % char for x in r] if char else list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        pv = top[c]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c]
+            if f:
+                row = [pv * x - f * y for x, y in zip(m[r], top)]
+                if char:
+                    m[r] = [x % char for x in row]
+                else:
+                    g = math.gcd(*row) or 1
+                    m[r] = [x // g for x in row]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def rank_gf2(columns: list[int]) -> int:
@@ -185,34 +151,24 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def is_cone(self) -> bool:
-        """Some vertex lies in every maximal face: no reduced homology."""
-        return self._walk()[1]
-
-    def _walk(self) -> tuple[list[list[int]], bool]:
+    def _walk(self) -> list[list[int]]:
         """The faces as vertex bitmasks, dimension k in layer k + 1, walked
-        depth first with one AND per step, and whether some vertex extends
-        every leaf of the walk, that is, lies in every maximal face."""
-        masks, layers, apex = self.masks, [], list(range(len(self.masks)))
+        depth first with one AND per step."""
+        masks, layers = self.masks, []
         stack = [(0, self.facets, 0, 0)] if self.facets else []
         while stack:
             face, common, start, size = stack.pop()
             if size == len(layers):
                 layers.append([])
             layers[size].append(face)
-            leaf = True
             for k in range(start, len(masks)):
                 if common & masks[k]:
-                    leaf = False
                     stack.append((face | 1 << k, common & masks[k], k + 1, size + 1))
-            if leaf and apex:
-                apex = [v for v in apex if common & masks[v]]
-        return layers, bool(layers and apex)
+        return layers
 
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
         """Every face as a sorted tuple, by dimension (-1 for the empty face)."""
-        vertices, layers = range(len(self.masks)), self._walk()[0]
+        vertices, layers = range(len(self.masks)), self._walk()
         return {j - 1: sorted(tuple(v for v in vertices if f >> v & 1) for f in fs) for j, fs in enumerate(layers)}
 
     def reduced_homology_ranks(self, char: int = 0) -> dict[int, int]:
@@ -223,11 +179,10 @@ class SimplicialComplex:
         it is redone exactly only where the GF(2) homology is nonzero in
         both dimensions it touches."""
         _validate_char(char)
-        # a facet holding every vertex makes a simplex, a cone read off the masks alone
-        simplex = self.masks and reduce(and_, self.masks, self.facets)
-        layers, cone = ([], True) if simplex else self._walk()
-        if cone:
+        # a facet holding every vertex makes a simplex, read off the masks alone
+        if self.masks and reduce(and_, self.masks, self.facets):
             return {}
+        layers = self._walk()
         # onto the empty face the boundary has rank 1 in every field, 0 without vertices
         above = (_boundary_rank(layers, j, char or 2) for j in range(2, len(layers)))
         ranks = [0, min(len(layers) - 1, 1), *above, 0]
@@ -300,31 +255,23 @@ def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_LATTICE_BUDGET) -> list[
     return sorted(lattice, key=lambda b: (sum(b), b))
 
 
-def _generator_masks(I: MonomialIdeal) -> list[tuple[list[int], list[int]]]:
-    """Per variable, the distinct exponents among G(I), ascending, and the
-    masks of the generators with exponent at most each, after a leading 0."""
-    columns = []
-    for column in zip(*(g.exps for g in I.gens)):
-        bits: dict[int, int] = {}
-        for j, e in enumerate(column):
-            bits[e] = bits.get(e, 0) | 1 << j
-        values, upto = sorted(bits), [0]
-        for v in values:
-            upto.append(upto[-1] | bits[v])
-        columns.append((values, upto))
-    return columns
-
-
 def upper_koszul_complex(
-    I: MonomialIdeal, b: tuple[int, ...], columns: list | None = None
+    I: MonomialIdeal, b: tuple[int, ...], gt: list[dict[int, int]] | None = None
 ) -> SimplicialComplex:
     """The complex of squarefree tau inside supp(b) with x^b / x^tau in I,
     vertices relabelled 0..k-1 along supp(b).  A generator g divides
     x^b / x^tau exactly when g divides x^b and g_i < b_i for each i in
-    tau; ``columns`` is ``_generator_masks(I)``, when already built."""
-    columns = columns or _generator_masks(I)
-    D = reduce(and_, (upto[bisect.bisect_right(values, e)] for (values, upto), e in zip(columns, b)), -1)
-    masks = [D & upto[bisect.bisect_left(values, e)] for (values, upto), e in zip(columns, b) if e]
+    tau.  Both are read from ``gt = quotients._masks(I.gens)``, when not
+    already built: D = ALL & ~OR_i gt[i][b_i], and vertex i has the mask
+    D & ~gt[i][b_i - 1].  Raises ValueError when some b_i is no key of
+    ``gt``, which no point of the lcm lattice does."""
+    gt = gt or _masks(I.gens)
+    try:
+        above = reduce(or_, (col[e] for col, e in zip(gt, b)), 0)
+        D = ((1 << len(I.gens)) - 1) & ~above
+        masks = [D & ~col[e - 1] for col, e in zip(gt, b) if e]
+    except KeyError:
+        raise ValueError(f"the generator masks do not index the multidegree {b}") from None
     return SimplicialComplex(D, masks)
 
 
@@ -333,9 +280,9 @@ def _lattice_homology(
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """(deg b, reduced homology ranks of K^b) over the lcm lattice, lazily."""
     _validate_char(char)
-    lattice, columns = lcm_lattice(I, budget), _generator_masks(I)
+    lattice, gt = lcm_lattice(I, budget), _masks(I.gens)
     for b in lattice:
-        yield sum(b), upper_koszul_complex(I, b, columns).reduced_homology_ranks(char)
+        yield sum(b), upper_koszul_complex(I, b, gt).reduced_homology_ranks(char)
 
 
 def _certificate_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable | None:

@@ -500,6 +500,33 @@ def test_huge_exponents_step_in_generator_count_time():
     assert revlex_lq(MonomialIdeal(2, linear)) == cert
 
 
+def _sequences_with_huge_exponents():
+    """Sequences of 1 to 3 variables whose exponents are small or near 10^6."""
+    exponent = st.one_of(st.integers(0, 3), st.integers(10**6, 10**6 + 3))
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(exponent, min_size=n, max_size=n).map(lambda e: Monomial(tuple(e))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sequences_with_huge_exponents())
+def test_masks_hold_the_positions_above_each_key(seq):
+    # every key t of gt[i] holds the positions with exponent above t, and
+    # the keys t - 1 and t + 1 are there for every exponent t that occurs
+    gt = _masks(seq)
+    assert len(gt) == len(seq[0].exps)
+    for i, col in enumerate(gt):
+        for key, mask in col.items():
+            assert mask == sum(1 << k for k, g in enumerate(seq) if g.exps[i] > key)
+        for t in {g.exps[i] for g in seq}:
+            assert col[t - 1] == sum(1 << k for k, g in enumerate(seq) if g.exps[i] >= t)
+            assert t in col and t + 1 in col
+
+
 @st.composite
 def single_degree_sets(draw):
     """Distinct monomials of one degree, in drawn order."""

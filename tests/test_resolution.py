@@ -34,10 +34,10 @@ from polymat.resolution import (
     is_componentwise_linear,
     lcm_lattice,
     _is_prime,
-    rank_exact,
-    rank_mod_p,
+    matrix_rank,
     upper_koszul_complex,
 )
+from polymat.quotients import _masks
 
 from oracles import taylor_betti, upper_koszul_faces
 
@@ -66,12 +66,40 @@ def fraction_rank(rows):
     return rank
 
 
+def fraction_rank_mod_p(rows, p):
+    """Rank over GF(p) by ``fraction_rank``'s elimination with inverses mod p."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] * inv % p
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def product_matrix(rng, rows, cols, k, bound):
+    """A * B for random integer A (rows x k) and B (k x cols): rank at most k."""
+    a = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(rows)]
+    b = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+PRIMES = (3, 1009, (1 << 61) - 1)
+
+
 class TestRank:
     def test_small_known(self):
-        assert rank_exact([[1, 2], [2, 4]]) == 1
-        assert rank_exact([[1, 0], [0, 1]]) == 2
-        assert rank_exact([[0, 0], [0, 0]]) == 0
-        assert rank_exact([]) == 0
+        assert matrix_rank([[1, 2], [2, 4]], 0) == 1
+        assert matrix_rank([[1, 0], [0, 1]], 0) == 2
+        assert matrix_rank([[0, 0], [0, 0]], 0) == 0
+        assert matrix_rank([], 0) == 0
+        assert matrix_rank([[]], 3) == 0
 
     def test_random_against_fraction_elimination(self):
         rng = random.Random(7)
@@ -79,19 +107,44 @@ class TestRank:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            assert rank_exact(mat) == fraction_rank(mat)
+            assert matrix_rank(mat, 0) == fraction_rank(mat)
 
     def test_mod_p_differs_when_it_should(self):
         mat = [[2, 0], [0, 1]]
-        assert rank_mod_p(mat, 2) == 1
-        assert rank_exact(mat) == 2
+        assert matrix_rank(mat, 2) == 1
+        assert matrix_rank(mat, 0) == 2
+        assert matrix_rank([[3, 1], [0, 1]], 3) == 1
 
     def test_mod_p_random_consistency(self):
         # over a big prime, small integer matrices have their rational rank
         rng = random.Random(11)
         for _ in range(40):
             mat = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(4)]
-            assert rank_mod_p(mat, 1009) == rank_exact(mat)
+            assert matrix_rank(mat, 1009) == matrix_rank(mat, 0)
+
+    def test_dense_large_entries(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            mat = [[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(rows)]
+            assert matrix_rank(mat, 0) == fraction_rank(mat)
+            for p in PRIMES:
+                assert matrix_rank(mat, p) == fraction_rank_mod_p(mat, p), p
+
+    def test_products_have_rank_at_most_inner_dimension(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            rows, cols, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5)
+            mat = product_matrix(rng, rows, cols, k, rng.choice((3, 10**6)))
+            expected = fraction_rank(mat)
+            assert matrix_rank(mat, 0) == expected <= k
+            for p in PRIMES:
+                assert matrix_rank(mat, p) == fraction_rank_mod_p(mat, p) <= expected, p
+
+    def test_rank_drops_at_a_dividing_prime(self):
+        # det [[1, 2], [3, 1009 + 6]] = 1009: rank 1 mod 1009 and 2 elsewhere
+        mat = [[1, 2], [3, 1015]]
+        assert [matrix_rank(mat, p) for p in (0, *PRIMES)] == [2, 2, 1, 2]
 
 
 class TestCharacteristic:
@@ -170,19 +223,12 @@ class TestSimplicialComplex:
         assert cx.reduced_homology_ranks() == {1: 1}
 
     def test_cone_has_no_homology(self):
-        # maximal faces {0,1} and {0,2} share vertex 0; the extra facet
-        # {2} is not maximal and would hide the cone if it were counted
+        # maximal faces {0,1} and {0,2} share vertex 0, a cone that is no
+        # simplex; the extra facet {2} is not maximal
         cx = complex_of([frozenset({0, 1}), frozenset({0, 2}), frozenset({2})])
         assert not cx.is_void
-        assert cx.is_cone
-        for char in (0, 2):
+        for char in (0, 2, 3):
             assert cx.reduced_homology_ranks(char) == {}
-
-    def test_not_cones(self):
-        assert not complex_of([]).is_cone
-        assert not complex_of([frozenset()]).is_cone
-        hollow = complex_of([frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
-        assert not hollow.is_cone
 
     def test_projective_plane_char_dependence(self):
         cx = complex_of(RP2_TRIANGLES)
@@ -272,14 +318,17 @@ def exhaustive_space_ideals(nvars, maxdeg, maxgens):
     return list(space_ideals(IdealSpace(nvars=nvars, maxdeg=maxdeg, maxgens=maxgens)))
 
 
+def faces_of(cx):
+    return {frozenset(f) for fs in cx.faces().values() for f in fs}
+
+
 class TestUpperKoszulFromGenerators:
     def test_matches_membership_oracle_on_exhaustive_space(self):
         points = 0
         for ideal in exhaustive_space_ideals(3, 3, 4):
             for b in lcm_lattice(ideal):
                 cx = upper_koszul_complex(ideal, b)
-                faces = {frozenset(f) for fs in cx.faces().values() for f in fs}
-                assert faces == upper_koszul_faces(ideal, b), (str(ideal), b)
+                assert faces_of(cx) == upper_koszul_faces(ideal, b), (str(ideal), b)
                 points += 1
         assert points == 10377
 
@@ -294,6 +343,51 @@ class TestUpperKoszulFromGenerators:
                 if single:
                     relations = all(j == d + 1 for (i, j) in table.entries if i == 1)
                     assert has_linear_relations(ideal, char) == relations, (str(ideal), char)
+
+
+@st.composite
+def ideals_with_huge_exponents(draw):
+    """A proper ideal in 1 to 3 variables whose exponents are small or near 10^6."""
+    n = draw(st.integers(1, 3))
+    exponent = st.one_of(st.integers(0, 2), st.integers(10**6, 10**6 + 2))
+    exps = st.lists(exponent, min_size=n, max_size=n).filter(any)
+    return MonomialIdeal(n, [Monomial(tuple(e)) for e in draw(st.lists(exps, min_size=1, max_size=5))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals_with_huge_exponents())
+def test_upper_koszul_matches_membership_oracle_property(ideal):
+    gt = _masks(ideal.gens)
+    for b in lcm_lattice(ideal):
+        assert faces_of(upper_koszul_complex(ideal, b, gt)) == upper_koszul_faces(ideal, b), b
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals_with_huge_exponents(), st.data())
+def test_upper_koszul_off_the_lattice_is_right_or_refused(ideal, data):
+    # any multidegree within 3 of a generator exponent in each coordinate:
+    # the complex is read only where every lookup has a key, else refused
+    near = [
+        sorted({max(g.exps[i] + d, 0) for g in ideal.gens for d in range(-3, 4)})
+        for i in range(ideal.nvars)
+    ]
+    b = tuple(data.draw(st.sampled_from(values)) for values in near)
+    try:
+        cx = upper_koszul_complex(ideal, b)
+    except ValueError as err:
+        assert str(b) in str(err)
+    else:
+        assert faces_of(cx) == upper_koszul_faces(ideal, b), b
+
+
+def test_upper_koszul_names_a_multidegree_without_a_key():
+    ideal = I("x1^5, x2", 2)
+    with pytest.raises(ValueError, match=r"\(9, 1\)"):
+        upper_koszul_complex(ideal, (9, 1))
+    with pytest.raises(ValueError, match=r"\(5, 3\)"):
+        upper_koszul_complex(ideal, (5, 3))
+    # one past an exponent still has its keys
+    assert faces_of(upper_koszul_complex(ideal, (6, 1))) == upper_koszul_faces(ideal, (6, 1))
 
 
 class TestTaylorOracleAgreement:
@@ -398,8 +492,10 @@ class TestProjectivePlane:
 
     def test_exact_ranks_only_where_gf2_homology_leaves_room(self, monkeypatch):
         calls = []
-        exact = resolution.rank_exact
-        monkeypatch.setattr(resolution, "rank_exact", lambda rows: calls.append(rows) or exact(rows))
+        exact = resolution.matrix_rank
+        monkeypatch.setattr(
+            resolution, "matrix_rank", lambda rows, char: (char == 0 and calls.append(rows)) or exact(rows, char)
+        )
         betti_table(rp2_ideal(), 0)
         assert calls
         calls.clear()
@@ -470,7 +566,7 @@ class TestRankGF2:
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             mat = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
             columns = [sum(mat[r][c] << r for r in range(rows)) for c in range(cols)]
-            assert resolution.rank_gf2(columns) == rank_mod_p(mat, 2)
+            assert resolution.rank_gf2(columns) == matrix_rank(mat, 2)
 
 
 # ---------------------------------------------------------------------------
