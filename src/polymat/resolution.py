@@ -11,9 +11,14 @@ is a face exactly when some g in D has g_i < b_i for every i in tau: one
 AND of generator bitmasks per step of a depth-first walk.  The masks are
 read from the linear-quotients index ``quotients._masks``, built once per
 ideal.  A full simplex has no homology and is skipped before the walk.
-Boundary ranks are exact: GF(2) ranks by an XOR basis, redone over the
-rationals only where the GF(2) homology leaves room, and at an odd prime
-by the same integer elimination, reduced mod p.
+Any other complex is read relative to the closed star of the vertex in
+most facets: the star is a cone, so H~_j(K) = H_j(K, st v) over every
+field, and only the faces outside it (the critical faces) are walked.
+When they lie in one dimension their count is the homology and no
+boundary matrix is built.  Otherwise the boundary ranks between critical
+faces are exact: GF(2) ranks by an XOR basis, redone over the rationals
+only where the GF(2) homology leaves room, and at an odd prime by the
+same integer elimination, reduced mod p.
 ``has_linear_resolution`` and ``has_linear_relations`` stop at the first
 multidegree off their strand.
 
@@ -140,7 +145,17 @@ class SimplicialComplex:
     ``masks[k]`` is set when facet j contains vertex k, and tau is a face
     when ``facets`` (a bit per facet) AND the masks over tau is nonzero.
     Without facets it is void; one empty facet gives the complex whose
-    only face is the empty set, with reduced homology 1 in dimension -1."""
+    only face is the empty set, with reduced homology 1 in dimension -1.
+
+    Homology is read relative to the closed star of one vertex v, the
+    faces tau with tau + v a face.  The star is a cone, so it is
+    contractible, and the long exact sequence of the pair gives
+    H~_j(K) = H_j(K, st v) over every field.  The relative chains are
+    spanned by the faces outside the star, those that lie in no facet
+    through v: the critical faces.  Each lies in a facet avoiding v, so
+    only faces of those facets are walked.  When the critical faces lie
+    in one dimension no boundary map touches them, and their count is
+    the homology."""
 
     __slots__ = ("facets", "masks")
 
@@ -151,41 +166,57 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def _walk(self) -> list[list[int]]:
-        """The faces as vertex bitmasks, dimension k in layer k + 1, walked
-        depth first with one AND per step."""
-        masks, layers = self.masks, []
-        stack = [(0, self.facets, 0, 0)] if self.facets else []
+    def _walk(self, apex: int = 0) -> list[list[int]]:
+        """The faces lying in no facet of ``apex`` (a facet bitmask), as
+        vertex bitmasks, dimension k in layer k + 1.  The walk is depth
+        first with one AND per step and descends only while a facet
+        outside ``apex`` holds the face; without an apex it finds every
+        face."""
+        outside = self.facets & ~apex
+        vertices = [(1 << k, m) for k, m in enumerate(self.masks) if m & outside]
+        layers = [[] for _ in range(len(vertices) + 1)]
+        stack = [(0, self.facets, 0, 0)] if outside else []
         while stack:
             face, common, start, size = stack.pop()
-            if size == len(layers):
-                layers.append([])
-            layers[size].append(face)
-            for k in range(start, len(masks)):
-                if common & masks[k]:
-                    stack.append((face | 1 << k, common & masks[k], k + 1, size + 1))
+            if not common & apex:
+                layers[size].append(face)
+            for i in range(start, len(vertices)):
+                bit, mask = vertices[i]
+                below = common & mask
+                if below & outside:
+                    stack.append((face | bit, below, i + 1, size + 1))
         return layers
 
     def faces(self) -> dict[int, list[tuple[int, ...]]]:
         """Every face as a sorted tuple, by dimension (-1 for the empty face)."""
         vertices, layers = range(len(self.masks)), self._walk()
-        return {j - 1: sorted(tuple(v for v in vertices if f >> v & 1) for f in fs) for j, fs in enumerate(layers)}
+        return {
+            j - 1: sorted(tuple(v for v in vertices if f >> v & 1) for f in fs)
+            for j, fs in enumerate(layers) if fs
+        }
 
     def reduced_homology_ranks(self, char: int = 0) -> dict[int, int]:
-        """Ranks of the reduced homology groups, keyed by dimension from -1.
+        """Ranks of the reduced homology groups, keyed by dimension from -1,
+        as the homology relative to the star of the vertex in most facets.
 
-        In characteristic 0 each boundary rank is first taken over GF(2).
-        It can only grow over the rationals and no homology is negative, so
-        it is redone exactly only where the GF(2) homology is nonzero in
-        both dimensions it touches."""
+        Only boundary maps between two nonempty layers of critical faces
+        are ranked.  In characteristic 0 each is first ranked over GF(2).
+        The rank can only grow over the rationals and no homology is
+        negative, so it is redone exactly only where the GF(2) homology is
+        nonzero in both dimensions it touches."""
         _validate_char(char)
+        facets, masks = self.facets, self.masks
         # a facet holding every vertex makes a simplex, read off the masks alone
-        if self.masks and reduce(and_, self.masks, self.facets):
+        if masks and reduce(and_, masks, facets):
             return {}
-        layers = self._walk()
-        # onto the empty face the boundary has rank 1 in every field, 0 without vertices
-        above = (_boundary_rank(layers, j, char or 2) for j in range(2, len(layers)))
-        ranks = [0, min(len(layers) - 1, 1), *above, 0]
+        apex = max((m & facets for m in masks), key=int.bit_count, default=0)
+        if not apex:
+            return {-1: 1} if facets else {}
+        layers = self._walk(apex)
+        filled = [j for j, fs in enumerate(layers) if fs]
+        if len(filled) < 2:
+            return {j - 1: len(layers[j]) for j in filled}
+        ranks = [0, *(_boundary_rank(layers, j, char or 2) for j in range(1, len(layers))), 0]
         homology = _homology(layers, ranks)
         lifted = [j for j in range(1, len(layers)) if homology[j] and homology[j - 1]] if char == 0 else []
         for j in lifted:
@@ -202,9 +233,15 @@ def _homology(layers: list[list[int]], ranks: list[int]) -> list[int]:
 
 
 def _boundary_rank(layers: list[list[int]], j: int, char: int) -> int:
-    """Rank of the boundary map out of layer j: by ``rank_gf2`` at 2, else on signed rows."""
+    """Rank of the boundary map out of layer j: 0 with no matrix when layer
+    j or j - 1 is empty, by ``rank_gf2`` at 2, else on signed rows.  A
+    face of layer j - 1 that was not walked has no row, but keeps its
+    place in the sign count."""
+    if not (layers[j] and layers[j - 1]):
+        return 0
     row = {f: 1 << r for r, f in enumerate(layers[j - 1])}
-    cols = [[row[f ^ v] for v in sorted(layers[1]) if f & v] for f in layers[j]]
+    bits = [1 << k for k in range(max(layers[j]).bit_length())]
+    cols = [[row.get(f ^ v, 0) for v in bits if f & v] for f in layers[j]]
     if char == 2:
         return rank_gf2([sum(col) for col in cols])
     rows = [[(-1) ** col.index(bit) if bit in col else 0 for col in cols] for bit in row.values()]
@@ -264,7 +301,10 @@ def upper_koszul_complex(
     tau.  Both are read from ``gt = quotients._masks(I.gens)``, when not
     already built: D = ALL & ~OR_i gt[i][b_i], and vertex i has the mask
     D & ~gt[i][b_i - 1].  Raises ValueError when some b_i is no key of
-    ``gt``, which no point of the lcm lattice does."""
+    ``gt``, which no point of the lcm lattice does, or when b does not
+    have one exponent per variable."""
+    if len(b) != I.nvars:
+        raise ValueError(f"the multidegree {b} does not have {I.nvars} exponents")
     gt = gt or _masks(I.gens)
     try:
         above = reduce(or_, (col[e] for col, e in zip(gt, b)), 0)

@@ -1,15 +1,15 @@
 """Betti tables via upper Koszul complexes, cross-checked against the
 independent Taylor-complex oracle, plus the linearity predicates."""
 
-import fractions
 import itertools
+import re
 from collections import Counter
 import random
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polymat.ideal import (
     MonomialIdeal,
@@ -39,7 +39,7 @@ from polymat.resolution import (
 )
 from polymat.quotients import _masks
 
-from oracles import taylor_betti, upper_koszul_faces
+from oracles import fraction_rank, fraction_rank_mod_p, rank_over, taylor_betti, upper_koszul_faces
 
 
 def I(text, n):
@@ -49,39 +49,6 @@ def I(text, n):
 # ---------------------------------------------------------------------------
 # exact rank
 # ---------------------------------------------------------------------------
-
-def fraction_rank(rows):
-    m = [[fractions.Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][c]:
-                f = m[r][c] / m[rank][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def fraction_rank_mod_p(rows, p):
-    """Rank over GF(p) by ``fraction_rank``'s elimination with inverses mod p."""
-    m = [[x % p for x in r] for r in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        for r in range(rank + 1, len(m)):
-            f = m[r][c] * inv % p
-            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
 
 def product_matrix(rng, rows, cols, k, bound):
     """A * B for random integer A (rows x k) and B (k x cols): rank at most k."""
@@ -236,6 +203,45 @@ class TestSimplicialComplex:
         assert cx.reduced_homology_ranks(2) == {1: 1, 2: 1}
 
 
+def full_homology(cx, char):
+    """Reduced homology ranks from every face of ``cx`` and the oracle's
+    ranks of the full boundary maps, the empty face included."""
+    faces = cx.faces()
+    row = {d: {f: r for r, f in enumerate(fs)} for d, fs in faces.items()}
+    ranks = {}
+    for d, fs in faces.items():
+        if d - 1 in row:
+            mat = [[0] * len(fs) for _ in row[d - 1]]
+            for c, f in enumerate(fs):
+                for t in range(len(f)):
+                    mat[row[d - 1][f[:t] + f[t + 1:]]][c] = (-1) ** t
+            ranks[d] = rank_over(mat, char)
+    homology = {d: len(fs) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, fs in faces.items()}
+    return {d: h for d, h in homology.items() if h}
+
+
+@st.composite
+def complexes(draw):
+    """The complex of up to 8 random facets over at most 7 vertices, some
+    of which may lie in no facet: void without facets, {empty face} when
+    every facet is empty."""
+    nverts = draw(st.integers(0, 7))
+    facet = st.frozensets(st.integers(0, nverts - 1)) if nverts else st.just(frozenset())
+    facets = draw(st.lists(facet, max_size=8))
+    masks = [sum(1 << j for j, f in enumerate(facets) if v in f) for v in range(nverts)]
+    return SimplicialComplex((1 << len(facets)) - 1, masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes())
+@example(complex_of([]))
+@example(complex_of([frozenset()]))
+@example(complex_of(RP2_TRIANGLES))
+def test_star_relative_homology_matches_full_boundary_ranks(cx):
+    for char in (0, 2, 3):
+        assert cx.reduced_homology_ranks(char) == full_homology(cx, char), (cx.facets, cx.masks, char)
+
+
 # ---------------------------------------------------------------------------
 # Betti tables
 # ---------------------------------------------------------------------------
@@ -274,13 +280,24 @@ class TestBettiTable:
         pentagon = I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x1", 5)
         assert resolution._certificate_betti(pentagon, 0, 50) is None
         gf2, exact = resolution.rank_gf2, resolution.matrix_rank
-        monkeypatch.setattr(resolution, "rank_gf2", lambda columns: gf2(columns) + 1)
-        monkeypatch.setattr(
-            resolution, "matrix_rank", lambda rows, char: exact(rows, char) + 1
-        )
+        calls = Counter()
+
+        def wrong_gf2(columns):
+            calls["gf2"] += 1
+            return gf2(columns) + 1
+
+        def wrong_exact(rows, char):
+            calls[char] += 1
+            return exact(rows, char) + 1
+
+        monkeypatch.setattr(resolution, "rank_gf2", wrong_gf2)
+        monkeypatch.setattr(resolution, "matrix_rank", wrong_exact)
         for char in (0, 2, 3):
+            calls.clear()
             with pytest.raises(AssertionError):
                 betti_table(pentagon, char)
+            # the raise must come from a patched rank, not from elsewhere
+            assert sum(calls.values()) > 0, char
 
     def test_zero_unit_rejected(self):
         with pytest.raises(ZeroIdealError):
@@ -378,6 +395,10 @@ def test_upper_koszul_off_the_lattice_is_right_or_refused(ideal, data):
         assert str(b) in str(err)
     else:
         assert faces_of(cx) == upper_koszul_faces(ideal, b), b
+    # one exponent too few or too many is refused, never truncated
+    for wrong in (b[:-1], b + (data.draw(st.integers(0, 3)),)):
+        with pytest.raises(ValueError, match=re.escape(str(wrong))):
+            upper_koszul_complex(ideal, wrong)
 
 
 def test_upper_koszul_names_a_multidegree_without_a_key():
@@ -491,15 +512,20 @@ class TestProjectivePlane:
         assert tables[3] == tables[0]
 
     def test_exact_ranks_only_where_gf2_homology_leaves_room(self, monkeypatch):
-        calls = []
-        exact = resolution.matrix_rank
+        calls = Counter()
+        gf2, exact = resolution.rank_gf2, resolution.matrix_rank
         monkeypatch.setattr(
-            resolution, "matrix_rank", lambda rows, char: (char == 0 and calls.append(rows)) or exact(rows, char)
+            resolution, "rank_gf2", lambda columns: calls.update(["gf2"]) or gf2(columns)
+        )
+        monkeypatch.setattr(
+            resolution, "matrix_rank", lambda rows, char: calls.update([char]) or exact(rows, char)
         )
         betti_table(rp2_ideal(), 0)
-        assert calls
+        assert calls["gf2"] and calls[0]
         calls.clear()
-        # m^3 has a certificate, so its lattice path is called directly
+        # m^3 has a certificate, so its lattice path is called directly; the
+        # critical faces of each of its K^b lie in one dimension, so no
+        # boundary map is ranked at all
         table = resolution._lattice_betti(power(maximal_ideal(5), 3), 0, 50_000)
         assert table.entries and not calls
 
