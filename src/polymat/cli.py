@@ -352,11 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nvars", type=int, required=True)
     p.add_argument("--maxdeg", type=int, required=True)
     p.add_argument("--maxgens", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="cap on enumerated subsets (default %(default)s)"
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_ENUM_BUDGET,
+        help="cap on enumerated subsets, or on samples x maxgens drawn generators (default %(default)s)",
     )
-    group.add_argument("--samples", type=int, help="scan this many sampled ideals instead of all")
+    p.add_argument("--samples", type=int, help="scan this many sampled ideals instead of all")
     p.add_argument("--seed", type=int, help="RNG seed of a sampled scan (default 0)")
 
     leaf(sub, "suite", _suite, [char])

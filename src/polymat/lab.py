@@ -134,8 +134,11 @@ def _exhaustive_ideals(space: IdealSpace, enum_budget: int) -> Iterator[Monomial
             if len(picked) < space.maxgens:
                 yield from extend(picked, k + 1)
 
-    for antichain in extend((), 0):
-        yield MonomialIdeal._raw(space.nvars, antichain)
+    try:
+        for antichain in extend((), 0):
+            yield MonomialIdeal._raw(space.nvars, antichain)
+    finally:
+        del extend  # extend's closure holds extend: clear the cycle when done or closed
 
 
 def _sampled_ideals(space: IdealSpace, enum_budget: int) -> Iterator[MonomialIdeal]:

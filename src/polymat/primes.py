@@ -1,11 +1,11 @@
 """Irreducible decomposition and associated primes of monomial ideals.
 
-The decomposition splits any generator that is not a pure power, then
-keeps the inclusion-minimal components: irreducible monomial ideals are
-meet-prime, so that is the unique irredundant set, found by comparing
-pure powers without intersecting ideals.  Associated primes are the
-radicals of those components, each validated by an explicit witness
-monomial w with I : w = P.
+The decomposition intersects pure powers one generator at a time and
+prunes only the components each generator adds: irreducible monomial
+ideals are meet-prime, so the result is the unique irredundant set,
+found by comparing pure powers without building or intersecting
+ideals.  Associated primes are the radicals of those components, each
+validated by an explicit witness monomial w with I : w = P.
 """
 
 from __future__ import annotations
@@ -83,67 +83,45 @@ class AssociatedPrimes:
         }
 
 
-def _split_once(I: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal] | None:
-    """Split on a generator with at least two variables; None if all are
-    pure powers."""
-    for g in I.gens:
-        supp = [i for i, e in enumerate(g.exps) if e]
-        if len(supp) >= 2:
-            i = supp[0]
-            left = Monomial(tuple(e if k == i else 0 for k, e in enumerate(g.exps)))
-            right = Monomial(tuple(0 if k == i else e for k, e in enumerate(g.exps)))
-            others = tuple(h for h in I.gens if h is not g)
-            return (
-                MonomialIdeal(I.nvars, others + (left,)),
-                MonomialIdeal(I.nvars, others + (right,)),
-            )
-    return None
-
-
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """The irredundant set of irreducible components intersecting to I.
+    """The irredundant set of irreducible components intersecting to I,
+    in sorted order.
 
-    These are the inclusion-minimal split components, in sorted order.
-    Irreducible ideals are meet-prime: if J1 and J2 meet inside
-    Q = (x_i^{a_i} : i in A) while u in J1 and v in J2 lie outside Q,
-    then lcm(u, v) lies in Q, so max(u_i, v_i) >= a_i for some i in A and
-    u or v lies in Q after all.  Hence J1 or J2 lies in Q, and the other
-    components meet inside Q_k exactly when one of them lies in Q_k.
-    The ideals the split visits, and the C*(C-1) pairs the pruning
-    compares among C components, are counted as they accrue against
-    ``ideal.DEFAULT_MONOMIAL_BUDGET``.
+    A fold over G(I) in canonical order, from the zero ideal, the empty
+    set of pure powers.  For each generator g, a component Q that holds g
+    stays, and any other Q gives way to Q + (x_i^{g_i}) for each i in
+    supp g: (Q_1 ∩ ... ∩ Q_r) + (g) = ∩ (Q_k + (g)) for monomial ideals,
+    and Q + (uv) = (Q + (u)) ∩ (Q + (v)) for coprime u and v.  Irreducible
+    ideals are meet-prime, so a component is redundant exactly when
+    another lies inside it, and only the new ones need that test: if
+    R = Q + (x_i^{g_i}) lay inside a kept K, Q would too, and the previous
+    step was irredundant.  The new components are distinct, as R holds g
+    through x_i alone and two Q differing only in x_i would be nested.
+    Each step's C components, before pruning, give C*(C-1) pairs, checked
+    against ``ideal.DEFAULT_MONOMIAL_BUDGET``.
     """
     _require_proper(I, "decomposition")
-
-    components: set[IrreducibleComponent] = set()
-    seen: set[MonomialIdeal] = set()
-    stack = [I]
-    while stack:
-        J = stack.pop()
-        if J in seen:
-            continue
-        seen.add(J)
-        _check_enumeration("irreducible decomposition", len(seen), "split ideals")
-        split = _split_once(J)
-        if split is None:
-            components.add(
-                IrreducibleComponent.of(
-                    {i + 1: e for g in J.gens for i, e in enumerate(g.exps) if e}
-                )
-            )
-            c = len(components)
-            _check_enumeration("irreducible decomposition", c * (c - 1), "component pairs")
-        else:
-            stack.extend(split)
-
-    comps = sorted(components, key=lambda c: c.powers)
-    return tuple(c for c in comps if not any(d is not c and _within(d, c) for d in comps))
+    # a component is its exponent vector, 0 where it has no pure power
+    comps = [(0,) * I.nvars]
+    for g in I.gens:
+        kept, new = [], []
+        for Q in comps:
+            if any(0 < a <= b for a, b in zip(Q, g.exps)):
+                kept.append(Q)
+            else:
+                new.extend(Q[:i] + (b,) + Q[i + 1:] for i, b in enumerate(g.exps) if b)
+        comps = kept + new
+        c = len(comps)
+        _check_enumeration("irreducible decomposition", c * (c - 1), "component pairs")
+        comps = kept + [R for R in new if not any(D is not R and _within(D, R) for D in comps)]
+    powers = sorted(tuple((i + 1, a) for i, a in enumerate(Q) if a) for Q in comps)
+    return tuple(IrreducibleComponent(p) for p in powers)
 
 
-def _within(inner: IrreducibleComponent, outer: IrreducibleComponent) -> bool:
-    """(x_i^{b_i} : i in B) lies in (x_i^{a_i} : i in A): B in A, a_i <= b_i."""
-    a = dict(outer.powers)
-    return all(i in a and a[i] <= b for i, b in inner.powers)
+def _within(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    """(x_i^{b_i}) lies in (x_i^{a_i}), as exponent vectors b and a with 0
+    for no power: every power of the inner has a_i > 0 and a_i <= b_i."""
+    return all(0 < a <= b for b, a in zip(inner, outer) if b)
 
 
 def associated_primes(I: MonomialIdeal) -> AssociatedPrimes:

@@ -398,7 +398,6 @@ class TestErrors:
             (["lq", "check", "--increasing", "-n", "2", "x1"], ["--increasing"]),
             (["lq", "find", "--increasing", "-n", "2", "x1"], ["--increasing"]),
             (["lq", "revlex", "--base", "", "-n", "2", "x1"], ["--base"]),
-            (scan + ["--samples", "3", "--budget", "0"], ["--samples", "--budget"]),
             (scan + ["--seed", "0"], ["--seed"]),
             (scan + ["--mode", "sampled"], ["--mode"]),
         ]
@@ -411,6 +410,8 @@ class TestErrors:
         assert run(["check", "linear-resolution", "--char", "2", "--budget", "50", "-n", "2", "x1"]) == 0
         assert run(["lq", "find", "--base", "x1", "--budget", "5", "-n", "2", "x2"]) == 0
         assert run(scan + ["--samples", "3", "--seed", "4"]) == 0
+        # a sampled scan reads --budget: 3 samples of up to 2 generators pass 0
+        assert run(scan + ["--samples", "3", "--budget", "0"]) == 3
 
     def test_sampled_scan_is_selected_by_samples(self, capsys):
         code, data = run_json(
@@ -480,15 +481,22 @@ class TestErrors:
         assert time.perf_counter() - t0 < 2.0
         assert "implies up to 300000000 generators" in capsys.readouterr().err
 
+    def test_sampled_scan_reads_the_budget(self, capsys):
+        # 10 samples of up to 3 generators draw at most 30 monomials
+        argv = ["scan", "--nvars", "2", "--maxdeg", "2", "--maxgens", "3", "--samples", "10"]
+        assert run(argv + ["--budget", "29"]) == 3
+        assert "implies up to 30 generators, over budget 29" in capsys.readouterr().err
+        assert run(argv + ["--budget", "30"]) == 0
+
     def test_decomposition_over_budget_exit_3(self, capsys):
-        # the 13-edge matching has 2^13 components; the pruning would
-        # compare 448 * 447 pairs once 448 of them have accrued
+        # the 13-edge matching has 2^13 components; its ninth step holds
+        # 512 of them, whose 512 * 511 pairs pass the budget
         matching = ", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(13))
         for verb in ("irrdecomp", "ass"):
             t0 = time.perf_counter()
             assert run([verb, "-n", "26", matching]) == 3, verb
             assert time.perf_counter() - t0 < 2.0, verb
-            assert "200256 > 200000 component pairs" in capsys.readouterr().err
+            assert "261632 > 200000 component pairs" in capsys.readouterr().err
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
         argv = ["lq", "revlex", "-n", "2", "x1^2, x1*x2, x2^2"]

@@ -1,6 +1,7 @@
 """Harness behavior: equivalence records, squarefree localization
 equivalences, the conjecture scan, spaces, and the example suite."""
 
+import gc
 import itertools
 import json
 
@@ -50,6 +51,21 @@ class TestIdealSpace:
         # antichains over {x1, x2, x1^2, x1x2, x2^2}:
         # 5 singletons, 6 pairs, 1 triple
         assert len(ideals) == 12
+
+    def test_exhaustive_walk_leaves_no_cycle(self):
+        # the recursive walk refers to itself; its cell is cleared when the
+        # walk finishes or is closed, so refcounting frees it all
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                list(space_ideals(IdealSpace(2, 2, 2)))
+            partial = space_ideals(IdealSpace(2, 2, 2))
+            next(partial)
+            del partial
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_exhaustive_budget(self):
         space = IdealSpace(nvars=3, maxdeg=3, maxgens=4)

@@ -14,6 +14,7 @@ from polymat.ideal import (
     ZeroIdealError,
     colon,
     ideal_intersection,
+    maximal_ideal,
     parse_ideal,
     power,
     prime_ideal,
@@ -90,23 +91,33 @@ class TestIrreducibleDecomposition:
             irreducible_decomposition(I("", 2))
 
     def test_component_pairs_are_budgeted(self):
-        # a matching of e edges has 2^e components: 256 * 255 pairs are
-        # within the budget, 448 * 447 of the 9-edge matching's 512 are not
+        # a matching of e edges has 2^e components: its last step holds
+        # 256 * 255 pairs for 8 edges, within the budget, and 512 * 511
+        # for 9 edges, which are not
         def matching(e):
             return I(", ".join(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(e)), 2 * e)
 
         assert len(irreducible_decomposition(matching(8))) == 256
         for decompose in (irreducible_decomposition, associated_primes):
             t0 = time.perf_counter()
-            with pytest.raises(ResourceLimitExceeded, match="200256 > 200000 component pairs"):
+            with pytest.raises(ResourceLimitExceeded, match="261632 > 200000 component pairs"):
                 decompose(matching(9))
             assert time.perf_counter() - t0 < 2.0, decompose
 
-    def test_split_ideals_are_budgeted(self, monkeypatch):
+    def test_step_pairs_are_budgeted(self, monkeypatch):
+        # x1*x2 splits the zero ideal's one component in two: 2 * 1 pairs;
+        # x1^2 and x2 each leave a single component
         monkeypatch.setattr(ideal_module, "DEFAULT_MONOMIAL_BUDGET", 1)
-        with pytest.raises(ResourceLimitExceeded, match="2 > 1 split ideals"):
+        with pytest.raises(ResourceLimitExceeded, match="2 > 1 component pairs"):
             irreducible_decomposition(I("x1*x2", 2))
         assert len(irreducible_decomposition(I("x1^2, x2", 2))) == 1
+
+    def test_step_pairs_do_not_accrue(self):
+        # the budget bounds each step, not a running total over the fold
+        for n, d, count in ((5, 5, 70), (6, 4, 56)):
+            t0 = time.perf_counter()
+            assert len(irreducible_decomposition(power(maximal_ideal(n), d))) == count
+            assert time.perf_counter() - t0 < 2.0, (n, d)
 
     def test_component_validation(self):
         with pytest.raises(ValueError):
@@ -223,18 +234,21 @@ class TestTransversal:
 
 @st.composite
 def small_ideals(draw):
-    n = draw(st.integers(1, 4))
-    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    gens = draw(st.lists(exps.map(Monomial), min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    exps = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    gens = draw(st.lists(exps.map(Monomial), min_size=1, max_size=8))
     return MonomialIdeal(n, gens)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_ideals())
 def test_decomposition_recombines_property(ideal):
+    # the irredundant decomposition is unique, so recombining to I with no
+    # component to spare pins the answer
     if ideal.is_zero or ideal.is_unit:
         return
     comps = irreducible_decomposition(ideal)
+    assert [c.powers for c in comps] == sorted(c.powers for c in comps)
     assert recombine(list(comps), ideal.nvars) == ideal
     # irredundant: the intersection of the others is strictly larger
     for k in range(len(comps)):
