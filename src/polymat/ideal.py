@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
 
@@ -59,6 +60,15 @@ class Monomial:
         self.exps = exps
         self.degree = sum(exps)
 
+    @classmethod
+    def _raw(cls, exps: tuple[int, ...], degree: int) -> "Monomial":
+        """Trusted constructor: exps must be a tuple of non-negative ints
+        summing to degree."""
+        self = object.__new__(cls)
+        self.exps = exps
+        self.degree = degree
+        return self
+
     @property
     def nvars(self) -> int:
         return len(self.exps)
@@ -81,7 +91,7 @@ class Monomial:
         return all(e <= 1 for e in self.exps)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(a + b for a, b in zip(self.exps, other.exps))
@@ -91,10 +101,6 @@ class Monomial:
 
     def gcd(self, other: "Monomial") -> "Monomial":
         return Monomial(min(a, b) for a, b in zip(self.exps, other.exps))
-
-    def quotient_by_gcd(self, other: "Monomial") -> "Monomial":
-        """self / gcd(self, other): the colon contribution of a generator."""
-        return Monomial(max(a - b, 0) for a, b in zip(self.exps, other.exps))
 
     def _key(self) -> tuple[int, tuple[int, ...]]:
         return (self.degree, self.exps)
@@ -329,11 +335,61 @@ def parse_ideal(text: str, nvars: int) -> MonomialIdeal:
 # ideal operations
 # ---------------------------------------------------------------------------
 
+_canonical = attrgetter("degree", "exps")
+
+
+def _colon_step(gens: tuple[Monomial, ...], i: int, k: int) -> tuple[Monomial, ...]:
+    """G(I : x_(i+1)^k) from G(I) = gens, for k >= 1, in canonical order.
+
+    Every generator g with x_(i+1) loses min(g_i, k) factors of it.  Those
+    keeping some x_(i+1) (g_i > k) stay minimal, since g' | h' would give
+    g | h.  Only a generator that lost all of it (0 < g_i <= k) can divide
+    another, and only one left without x_(i+1): an untouched generator
+    or, when k >= 2, another one that lost all of it.  A proper divisor
+    has lower degree, which is compared first.  With k = 1 the lowered
+    generators are an antichain and only the untouched ones are tested.
+    """
+    moved: list[Monomial] = []  # the generators with x_(i+1), lowered
+    cleared: list[Monomial] = []  # those of them left without x_(i+1)
+    rest: list[Monomial] = []  # the generators without x_(i+1)
+    for g in gens:
+        e = g.exps[i]
+        if not e:
+            rest.append(g)
+            continue
+        cut = min(e, k)
+        m = Monomial._raw(g.exps[:i] + (e - cut,) + g.exps[i + 1:], g.degree - cut)
+        moved.append(m)
+        if e <= k:
+            cleared.append(m)
+    if not moved:
+        return gens
+
+    def covered(t: Monomial) -> bool:
+        return any(d.degree < t.degree and d.divides(t) for d in cleared)
+
+    if k > 1:
+        moved = [m for m in moved if m.exps[i] or not covered(m)]
+    if cleared:
+        rest = [g for g in rest if not covered(g)]
+    out = moved + rest
+    out.sort(key=_canonical)  # two sorted runs when k = 1
+    return tuple(out)
+
+
 def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The colon ideal I : u, via v -> v / gcd(v, u) over the generators."""
+    """The colon ideal I : u, one variable at a time: I : x_i^(u_i) for
+    each variable of u in turn, each an exponent-tuple step
+    (``_colon_step``) with no re-validation and no full minimalization.
+    An exponent above the lcm's removes x_i from every generator, as the
+    lcm's own exponent does."""
     if u.nvars != I.nvars:
         raise ValueError("nvars mismatch between ideal and monomial")
-    return MonomialIdeal._raw(I.nvars, _minimal_sorted(g.quotient_by_gcd(u) for g in I.gens))
+    gens = I.gens
+    for i, k in enumerate(u.exps):
+        if k:
+            gens = _colon_step(gens, i, k)
+    return MonomialIdeal._raw(I.nvars, gens)
 
 
 def saturate(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
@@ -472,6 +528,57 @@ def _require_proper(I: MonomialIdeal, what: str) -> None:
         raise ZeroIdealError(f"{what} undefined for the zero ideal")
     if I.is_unit:
         raise UnitIdealError(f"{what} undefined for the unit ideal")
+
+
+# ---------------------------------------------------------------------------
+# generator-mask index
+# ---------------------------------------------------------------------------
+
+def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
+    """``gt[i][t]``: the positions k of ``seq`` with seq[k]_i > t, as an int
+    bitmask, for every exponent t of x_(i+1) in ``seq`` and every t - 1
+    and t + 1, so ``gt[i][t - 1]`` holds the positions with exponent at
+    least t.
+
+    The keys are the exponents that occur, so the build is O(N*n) with a
+    sort of each column's distinct exponents, whatever their size.
+    """
+    gt = []
+    for col in zip(*(g.exps for g in seq)):
+        at: dict[int, int] = {}
+        for k, e in enumerate(col):
+            at[e] = at.get(e, 0) | 1 << k
+        above: dict[int, int] = {}
+        higher = 0  # the positions with exponent above e
+        for e in sorted(at, reverse=True):
+            # when e + 1 occurs it is already set; otherwise the positions
+            # above e + 1 are those above e
+            above.setdefault(e + 1, higher)
+            above[e] = higher
+            higher |= at[e]
+            above[e - 1] = higher  # the positions with exponent at least e
+        gt.append(above)
+    return gt
+
+
+# the last ideal whose generator masks were asked for, and those masks
+_indexed: tuple[MonomialIdeal | None, list[dict[int, int]]] = (None, [])
+
+
+def _ideal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
+    """``_masks(I.gens)``, built once for the last ideal asked for.
+
+    The exchange scan of ``polymatroid`` and the upper Koszul complexes of
+    ``resolution`` both read G(I) through these masks, and the lab asks
+    both of each ideal in turn, so one slot serves them.  The slot is
+    matched by identity and holds a reference to its ideal, so a slot
+    hit is always the same immutable ideal; an equal ideal built
+    elsewhere builds its own masks.
+    """
+    global _indexed
+    if _indexed[0] is not I:
+        _indexed = (I, _masks(I.gens))
+    return _indexed[1]
 
 
 # ---------------------------------------------------------------------------

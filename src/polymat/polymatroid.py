@@ -1,21 +1,20 @@
 """Exchange-property predicates and Veronese-type constructions.
 
-All exchange predicates run one scanner over pairs of minimal
-generators.  A move x_j * (u / x_i) keeps the degree of u, so in an
-ideal generated in a single degree it lies in I exactly when it is a
-generator: membership is a lookup of its exponent tuple in the set of
-generator exponents, and no monomial is built.  Only a mixed-degree
-ideal (the non-pure exchange) falls back to divisibility against the
-generators.  False verdicts carry a witness that can be re-checked by
-brute force; pair iteration follows the canonical generator order, so
-witnesses are deterministic.
+All exchange predicates run one scanner, one pass per minimal generator
+u over int bitmasks of G(I): the candidates v of a step are one mask,
+and each move x_j * (u / x_i) that lies in I clears one mask from them.
+Membership of a move is read off the same masks, as divisibility by
+some generator, in one or in several degrees, so no monomial or
+exponent tuple is built.  False verdicts carry a witness that can be
+re-checked by brute force; steps follow the canonical generator order,
+so witnesses are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .ideal import (
     DEFAULT_MONOMIAL_BUDGET,
@@ -24,6 +23,7 @@ from .ideal import (
     ResourceLimitExceeded,
     _check_enumeration,
     _component_size,
+    _ideal_masks,
     _require_proper,
     capped_exponents,
     component,
@@ -85,48 +85,83 @@ class ExchangeWitness:
         }
 
 
-def _exchange_move(ue: tuple[int, ...], i0: int, j0: int) -> tuple[int, ...]:
-    """Exponents of x_{j0+1} * (u / x_{i0+1}), 0-based positions."""
-    e = list(ue)
-    e[i0] -= 1
-    e[j0] += 1
-    return tuple(e)
-
-
 def _exchange_violation(
-    I: MonomialIdeal, pairs: Iterable[tuple[Monomial, Monomial]], every_j: bool
+    I: MonomialIdeal, every_j: bool = False, smaller_first: bool = False
 ) -> ExchangeWitness | None:
-    """The first failing exchange step over ``pairs``, in their order.
+    """The first failing exchange step of I, or None.
 
-    For each pair (u, v) and each i with deg_{x_i}(u) > deg_{x_i}(v), the
-    moves x_j * (u / x_i) with deg_{x_j}(u) < deg_{x_j}(v) are tried in
-    increasing j; some move (every move, when ``every_j``) must lie in I.
-    Membership is a lookup among the generator exponents when I has a
-    single degree, and a divisibility scan otherwise.
+    A step is (u, v, i): generators u != v with deg v <= deg u and
+    v_i < u_i.  It passes when some j with v_j > u_j (every such j, when
+    ``every_j``) puts x_j * u / x_i in I.  Steps are ordered by u, v and
+    then i in canonical generator order, or by v first when
+    ``smaller_first``.
+
+    One pass per generator u, on the masks ``gt`` of G(I) from
+    ``ideal._ideal_masks``.  For each i with u_i > 0 the candidates v are
+    ~gt[i][u_i - 1] (v_i < u_i), cut to the degrees up to deg u.  A move
+    x_j * u / x_i that lies in I clears gt[j][u_j] (v_j > u_j) from them,
+    and whatever no move clears fails.  G(I) is an antichain, so a
+    generator g dividing the move is not u and does not divide u: it
+    exceeds u in x_j alone, by one, and has g_i < u_i.  Those exceeding u
+    in x_j alone by one are read off the masks once per u, and then a
+    move costs one AND, in one degree or in several.
     """
-    if is_single_degree(I):
-        member = {g.exps for g in I.gens}.__contains__
-    else:
-        def member(e: tuple[int, ...]) -> bool:
-            return I.contains(Monomial(e))
-    n = I.nvars
-    for u, v in pairs:
-        ue, ve = u.exps, v.exps
-        gains = [j0 for j0 in range(n) if ue[j0] < ve[j0]]
-        for i0 in range(n):
-            if ue[i0] <= ve[i0]:
+    gens = I.gens
+    upto: dict[int, int] = {}  # degree -> the positions of at most that degree
+    for k, g in enumerate(gens):
+        upto[g.degree] = (2 << k) - 1
+    found = None
+    limit = -1  # with smaller_first, the v below the best one so far
+    for k, u in enumerate(gens):
+        window = upto[u.degree] & limit & ~(1 << k)
+        if not window:
+            continue  # no v to exchange with, and no masks needed for u
+        cols = list(zip(_ideal_masks(I), u.exps))
+        once = twice = 0  # the generators exceeding u in some, in two variables
+        for col, e in cols:
+            above = col[e]
+            twice |= once & above
+            once |= above
+        # (j, v_j > u_j, the generators exceeding u in x_j alone and by one),
+        # for the j where some v in the window has v_j > u_j
+        moves = [
+            (j, col[e], col[e] & ~(twice | col[e + 1]))
+            for j, (col, e) in enumerate(cols) if col[e] & window
+        ]
+        best = 0
+        for i, (col, e) in enumerate(cols):
+            if not e:
+                continue
+            at_least = col[e - 1]  # v_i >= u_i
+            cand = window & ~at_least
+            if not cand:
                 continue
             if every_j:
-                for j0 in gains:
-                    if not member(_exchange_move(ue, i0, j0)):
-                        return ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED, j0 + 1)
-            elif not any(member(_exchange_move(ue, i0, j0)) for j0 in gains):
-                return ExchangeWitness(u, v, i0 + 1, VERDICT_VIOLATED)
-    return None
-
-
-def _distinct_pairs(I: MonomialIdeal) -> Iterator[tuple[Monomial, Monomial]]:
-    return ((u, v) for u in I.gens for v in I.gens if u is not v)
+                failed = 0
+                for _, above, near in moves:
+                    if not near & ~at_least:
+                        failed |= cand & above
+                cand = failed
+            else:
+                for _, above, near in moves:
+                    if cand & above and near & ~at_least:
+                        cand &= ~above
+                        if not cand:
+                            break
+            low = cand & -cand
+            if low and (not best or low < best):
+                best, best_i, best_at_least = low, i, at_least
+        if best:
+            j = None
+            if every_j:
+                j = 1 + next(
+                    j for j, above, near in moves if best & above and not near & ~best_at_least
+                )
+            found = ExchangeWitness(u, gens[best.bit_length() - 1], best_i + 1, VERDICT_VIOLATED, j)
+            if not smaller_first:
+                break
+            limit = best - 1
+    return found
 
 
 def is_polymatroidal(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]:
@@ -139,7 +174,7 @@ def is_polymatroidal(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]:
     _require_proper(I, "predicate")
     if not is_single_degree(I):
         return False, None
-    witness = _exchange_violation(I, _distinct_pairs(I), every_j=False)
+    witness = _exchange_violation(I)
     return witness is None, witness
 
 
@@ -154,7 +189,7 @@ def has_strong_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None]
     _require_proper(I, "predicate")
     if not is_single_degree(I):
         return False, None
-    witness = _exchange_violation(I, _distinct_pairs(I), every_j=True)
+    witness = _exchange_violation(I, every_j=True)
     return witness is None, witness
 
 
@@ -167,13 +202,7 @@ def has_nonpure_exchange(I: MonomialIdeal) -> tuple[bool, ExchangeWitness | None
     u field holds the higher-degree generator.
     """
     _require_proper(I, "predicate")
-    pairs = (
-        (big, small)
-        for small in I.gens
-        for big in I.gens
-        if small is not big and small.degree <= big.degree
-    )
-    witness = _exchange_violation(I, pairs, every_j=False)
+    witness = _exchange_violation(I, smaller_first=True)
     return witness is None, witness
 
 

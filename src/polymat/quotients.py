@@ -14,8 +14,9 @@ quotient's support meets S, and then S is its variable set.  A quotient
 equal to 1 (g_k divides v) meets nothing and fails the step; no
 predecessors give the zero colon and the empty step.
 
-The test runs on int bitmasks over the positions of the whole sequence,
-built once per sequence in O(N*n), whatever the size of the exponents:
+The test runs on int bitmasks over the positions of the whole sequence
+(``ideal._masks``), built once per sequence in O(N*n), whatever the size
+of the exponents:
 ``gt[i][t]`` holds the positions k with g_k,i > t, for each exponent t
 of x_(i+1) that occurs in the sequence and for t - 1 and t + 1; the
 key t - 1 holds the positions with exponent at least t, which the upper
@@ -48,6 +49,7 @@ from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     ZeroIdealError,
+    _masks,
     _require_proper,
     is_single_degree,
 )
@@ -87,33 +89,6 @@ class LinearQuotientsCertificate:
             "order": [str(v) for v in self.appended],
             "steps": [sorted(s) for s in self.steps],
         }
-
-
-def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
-    """``gt[i][t]``: the positions k of ``seq`` with seq[k]_i > t, as an int
-    bitmask, for every exponent t of x_(i+1) in ``seq`` and every t - 1
-    and t + 1, so ``gt[i][t - 1]`` holds the positions with exponent at
-    least t.
-
-    The keys are the exponents that occur, so the build is O(N*n) with a
-    sort of each column's distinct exponents, whatever their size.
-    """
-    gt = []
-    for col in zip(*(g.exps for g in seq)):
-        at: dict[int, int] = {}
-        for k, e in enumerate(col):
-            at[e] = at.get(e, 0) | 1 << k
-        above: dict[int, int] = {}
-        higher = 0  # the positions with exponent above e
-        for e in sorted(at, reverse=True):
-            # when e + 1 occurs it is already set; otherwise the positions
-            # above e + 1 are those above e
-            above.setdefault(e + 1, higher)
-            above[e] = higher
-            higher |= at[e]
-            above[e - 1] = higher  # the positions with exponent at least e
-        gt.append(above)
-    return gt
 
 
 def _mask_step(

@@ -9,8 +9,9 @@ over the chosen prime field contributes to beta_{i, deg b} (Miller and
 Sturmfels, GTM 227, Thm 1.34).  With D the generators dividing x^b, tau
 is a face exactly when some g in D has g_i < b_i for every i in tau: one
 AND of generator bitmasks per step of a depth-first walk.  The masks are
-read from the linear-quotients index ``quotients._masks``, built once per
-ideal.  A full simplex has no homology and is skipped before the walk.
+read from the generator-mask index ``ideal._ideal_masks``, built once for
+the last ideal asked for, so an ideal whose exchange property was just
+scanned reuses them.  A full simplex has no homology and is skipped before the walk.
 Any other complex is read relative to the closed star of the vertex in
 most facets: the star is a cone, so H~_j(K) = H_j(K, st v) over every
 field, and only the faces outside it (the critical faces) are walked.
@@ -48,11 +49,12 @@ from operator import and_, or_
 from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
+    _ideal_masks,
     _require_proper,
     component,
     is_single_degree,
 )
-from .quotients import _masks, revlex_lq
+from .quotients import revlex_lq
 
 DEFAULT_LATTICE_BUDGET = 50_000
 
@@ -292,20 +294,18 @@ def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_LATTICE_BUDGET) -> list[
     return sorted(lattice, key=lambda b: (sum(b), b))
 
 
-def upper_koszul_complex(
-    I: MonomialIdeal, b: tuple[int, ...], gt: list[dict[int, int]] | None = None
-) -> SimplicialComplex:
+def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComplex:
     """The complex of squarefree tau inside supp(b) with x^b / x^tau in I,
     vertices relabelled 0..k-1 along supp(b).  A generator g divides
     x^b / x^tau exactly when g divides x^b and g_i < b_i for each i in
-    tau.  Both are read from ``gt = quotients._masks(I.gens)``, when not
-    already built: D = ALL & ~OR_i gt[i][b_i], and vertex i has the mask
+    tau.  Both are read from the masks ``gt`` of ``ideal._ideal_masks``:
+    D = ALL & ~OR_i gt[i][b_i], and vertex i has the mask
     D & ~gt[i][b_i - 1].  Raises ValueError when some b_i is no key of
     ``gt``, which no point of the lcm lattice does, or when b does not
     have one exponent per variable."""
     if len(b) != I.nvars:
         raise ValueError(f"the multidegree {b} does not have {I.nvars} exponents")
-    gt = gt or _masks(I.gens)
+    gt = _ideal_masks(I)
     try:
         above = reduce(or_, (col[e] for col, e in zip(gt, b)), 0)
         D = ((1 << len(I.gens)) - 1) & ~above
@@ -320,9 +320,8 @@ def _lattice_homology(
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """(deg b, reduced homology ranks of K^b) over the lcm lattice, lazily."""
     _validate_char(char)
-    lattice, gt = lcm_lattice(I, budget), _masks(I.gens)
-    for b in lattice:
-        yield sum(b), upper_koszul_complex(I, b, gt).reduced_homology_ranks(char)
+    for b in lcm_lattice(I, budget):
+        yield sum(b), upper_koszul_complex(I, b).reduced_homology_ranks(char)
 
 
 def _certificate_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable | None:

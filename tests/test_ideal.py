@@ -444,6 +444,46 @@ def test_colon_membership_property(ideal, u):
     assert colon_membership_ok(ideal, u, maxdeg=3)
 
 
+@st.composite
+def colon_cases(draw):
+    """An ideal in at most 6 variables with up to 12 generators (possibly
+    zero or the unit ideal), and a monomial u: 1, or exponents up to two
+    past the lcm's, or some near 10^6."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=12))
+    ideal = MonomialIdeal(n, [Monomial(e) for e in gens])
+    top = ideal.lcm_gens().exps if gens else (0,) * n
+    u = draw(
+        st.one_of(
+            st.just((0,) * n),
+            st.tuples(*(st.integers(0, t + 2) for t in top)),
+            st.tuples(*(st.sampled_from((0, 1, 10**6)) for _ in range(n))),
+        )
+    )
+    return ideal, Monomial(u)
+
+
+def colon_by_definition(ideal, u):
+    """G(I : u) by its definition: the minimal elements of
+    {g / gcd(g, u)} over G(I), as exponent tuples in canonical order."""
+    quotients = {tuple(max(a - b, 0) for a, b in zip(g.exps, u.exps)) for g in ideal.gens}
+    minimal = [
+        q for q in quotients
+        if not any(p != q and all(a <= b for a, b in zip(p, q)) for p in quotients)
+    ]
+    return sorted(minimal, key=lambda q: (sum(q), q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(colon_cases())
+def test_colon_matches_its_definition(case):
+    ideal, u = case
+    J = colon(ideal, u)
+    assert J.nvars == ideal.nvars
+    assert [g.exps for g in J.gens] == colon_by_definition(ideal, u), (str(ideal), str(u))
+    assert all(g.degree == sum(g.exps) for g in J.gens)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ideals(3))
 def test_localize_is_saturation_property(ideal):

@@ -2,9 +2,10 @@
 
 import itertools
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polymat.ideal import (
     Monomial,
@@ -13,6 +14,7 @@ from polymat.ideal import (
     UnitIdealError,
     ZeroIdealError,
     colon,
+    colons,
     component,
     ideal_product,
     maximal_ideal,
@@ -381,9 +383,7 @@ def test_componentwise_predicates_match_the_full_range_across_gaps(ideal):
     assert is_componentwise_linear(ideal) == linear
 
 
-@settings(max_examples=100, deadline=None)
-@given(exchange_ideals())
-def test_exchange_scanner_matches_pair_loops(ideal):
+def assert_scanners_match_pair_loops(ideal):
     for scanner, loop in (
         (is_polymatroidal, is_polymatroidal_loop),
         (has_strong_exchange, has_strong_exchange_loop),
@@ -392,4 +392,41 @@ def test_exchange_scanner_matches_pair_loops(ideal):
         ok, wit = scanner(ideal)
         ok_ref, wit_ref = loop(ideal)
         assert ok == ok_ref, (scanner.__name__, str(ideal))
-        assert (wit and wit.to_json()) == (wit_ref and wit_ref.to_json()), str(ideal)
+        assert (wit and wit.to_json()) == (wit_ref and wit_ref.to_json()), (scanner.__name__, str(ideal))
+
+
+# its first non-pure witness loses x1 from x1^3 against x2*x3; scanning the
+# larger generator first would give x3^3 against x1^3 instead
+NONPURE_ORDER_IDEAL = "x2*x3, x3^3, x1^3"
+
+
+@settings(max_examples=100, deadline=None)
+@given(exchange_ideals())
+@example(power(maximal_ideal(5), 4))  # 70 generators: masks past 64 bits
+@example(I(NONPURE_ORDER_IDEAL, 3))
+def test_exchange_scanner_matches_pair_loops(ideal):
+    assert_scanners_match_pair_loops(ideal)
+
+
+def test_nonpure_witness_takes_the_smaller_generator_first():
+    ok, wit = has_nonpure_exchange(I(NONPURE_ORDER_IDEAL, 3))
+    assert not ok
+    assert wit.to_json() == {"u": "x1^3", "v": "x2*x3", "i": 1, "verdict": "violated", "j": None}
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_exchange_scanner_matches_pair_loops_on_query_colons(monkeypatch):
+    """The base ideal of each type of the benchmark's ``query`` workload,
+    with 10 to 36 generators, and every colon that ``colons`` yields of it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    checked = 0
+    for t in range(len(workloads.QUERY_TYPES)):
+        n, gens = workloads.query_variants(t)[0]
+        for _, J in colons(MonomialIdeal(n, [Monomial(g) for g in gens])):
+            assert_scanners_match_pair_loops(J)
+            checked += 1
+    assert checked == 230

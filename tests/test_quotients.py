@@ -12,6 +12,7 @@ from polymat.ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
     UnitIdealError,
+    _masks,
     colon,
     ideal_product,
     maximal_ideal,
@@ -24,7 +25,6 @@ from polymat.polymatroid import VeroneseParams, is_polymatroidal, veronese
 from polymat.quotients import (
     LinearQuotientsCertificate,
     _mask_step,
-    _masks,
     check_lq_order,
     componentwise_veronese_lq,
     extend_lq_veronese,

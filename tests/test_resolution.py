@@ -24,8 +24,9 @@ from polymat.ideal import (
     parse_ideal,
     power,
 )
-from polymat import resolution
+from polymat import ideal as ideal_module, resolution
 from polymat.lab import IdealSpace, space_ideals
+from polymat.polymatroid import is_polymatroidal
 from polymat.resolution import (
     SimplicialComplex,
     betti_table,
@@ -37,9 +38,15 @@ from polymat.resolution import (
     matrix_rank,
     upper_koszul_complex,
 )
-from polymat.quotients import _masks
 
-from oracles import fraction_rank, fraction_rank_mod_p, rank_over, taylor_betti, upper_koszul_faces
+from oracles import (
+    fraction_rank,
+    fraction_rank_mod_p,
+    is_polymatroidal_loop,
+    rank_over,
+    taylor_betti,
+    upper_koszul_faces,
+)
 
 
 def I(text, n):
@@ -374,9 +381,8 @@ def ideals_with_huge_exponents(draw):
 @settings(max_examples=100, deadline=None)
 @given(ideals_with_huge_exponents())
 def test_upper_koszul_matches_membership_oracle_property(ideal):
-    gt = _masks(ideal.gens)
     for b in lcm_lattice(ideal):
-        assert faces_of(upper_koszul_complex(ideal, b, gt)) == upper_koszul_faces(ideal, b), b
+        assert faces_of(upper_koszul_complex(ideal, b)) == upper_koszul_faces(ideal, b), b
 
 
 @settings(max_examples=100, deadline=None)
@@ -528,6 +534,44 @@ class TestProjectivePlane:
         # boundary map is ranked at all
         table = resolution._lattice_betti(power(maximal_ideal(5), 3), 0, 50_000)
         assert table.entries and not calls
+
+
+class TestMaskIndex:
+    """``ideal._ideal_masks`` keeps the masks of the last ideal asked for,
+    shared by the exchange scan and the upper Koszul complexes."""
+
+    # three generators in four variables each: polymatroidal and linear,
+    # linear only, one degree without a linear resolution, mixed degrees
+    TEXTS = ("x1*x2, x2*x3, x1*x3", "x1*x2, x3*x4, x1*x3", "x1^2, x2^2, x3^2", "x1^2, x2*x3, x4^3")
+
+    def test_interleaved_ideals_read_their_own_masks(self):
+        # each ideal twice, as equal but distinct objects
+        pool = [parse_ideal(text, 4) for text in self.TEXTS for _ in range(2)]
+        tables = {J: taylor_betti(J) for J in pool}
+
+        def linear(J):
+            d = J.gens[0].degree
+            return is_single_degree(J) and all(j == i + d for i, j in tables[J])
+
+        for k in range(2 * len(pool)):
+            J, K, L = (pool[(3 * k + r) % len(pool)] for r in range(3))
+            assert is_polymatroidal(J) == is_polymatroidal_loop(J), str(J)
+            assert has_linear_resolution(K) == linear(K), str(K)
+            assert betti_table(L).entries == tables[L], str(L)
+            assert is_polymatroidal(K) == is_polymatroidal_loop(K), str(K)
+            assert betti_table(J).entries == tables[J], str(J)
+
+    def test_built_once_per_ideal_object(self, monkeypatch):
+        built = []
+        masks = ideal_module._masks
+        monkeypatch.setattr(ideal_module, "_masks", lambda seq: built.append(seq) or masks(seq))
+        J, same = (parse_ideal(self.TEXTS[0], 4) for _ in range(2))
+        is_polymatroidal(J)
+        assert has_linear_resolution(J)
+        assert len(built) == 1
+        # an equal ideal built elsewhere is not matched by equality
+        assert has_linear_resolution(same)
+        assert len(built) == 2
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
