@@ -281,8 +281,9 @@ def _budget(default: int, what: str) -> argparse.ArgumentParser:
 def _build_parser() -> argparse.ArgumentParser:
     js = _option("--json", action="store_true", help="emit one JSON object")
     char = _option("--char", type=int, default=0, help="characteristic, 0 (default) or a prime below 2^64")
-    lattice = _budget(
-        DEFAULT_LATTICE_BUDGET, "lattice points; a linear-quotients certificate counts its generators"
+    nodes = _budget(
+        DEFAULT_LATTICE_BUDGET,
+        "tree nodes, one per multidegree; a linear-quotients certificate counts its generators",
     )
     base = _option("--base", default="", help="base ideal the generators extend (default zero)")
     increasing = _option("--increasing", action="store_true", help="process revlex increasing")
@@ -306,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="property", required=True
     )
     for prop, (homological, check) in CHECKS.items():
-        options = [char, lattice, nv] if homological else [nv]
+        options = [char, nodes, nv] if homological else [nv]
         leaf(properties, prop, _check(check), options, "ideal")
 
     for verb, op in (("colon", colon), ("saturate", saturate)):
@@ -328,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", type=int, required=True)
 
     for verb, handler, options in (
-        ("betti", _betti, [char, lattice]),
+        ("betti", _betti, [char, nodes]),
         ("ass", _ass, []),
         ("irrdecomp", _irrdecomp, []),
         ("equiv", _equiv, [char]),

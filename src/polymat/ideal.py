@@ -393,13 +393,13 @@ def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
 
 
 def saturate(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The saturation I : u^infinity, by iterating colon to a fixed point."""
-    prev = I
-    cur = colon(I, u)
-    while cur != prev:
-        prev = cur
-        cur = colon(cur, u)
-    return cur
+    """The saturation I : u^infinity, as the one colon I : u^k with k the
+    largest ceil(L_i / u_i) over supp u, L the exponents of lcm(G(I)).
+    Then k * u_i >= L_i on supp u, and a colon by more of x_i than L_i
+    equals the colon by x_i^(L_i), so I : u^j is the same for all j >= k."""
+    top = I.lcm_gens()
+    k = max((-(-L // e) for L, e in zip(top.exps, u.exps) if e), default=0) if top else 0
+    return colon(I, Monomial._raw(tuple(k * e for e in u.exps), k * u.degree))
 
 
 def localize(I: MonomialIdeal, C: Iterable[int]) -> MonomialIdeal:
@@ -570,7 +570,11 @@ def _ideal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
 
     The exchange scan of ``polymatroid`` and the upper Koszul complexes of
     ``resolution`` both read G(I) through these masks, and the lab asks
-    both of each ideal in turn, so one slot serves them.  The slot is
+    both of each ideal in turn, so one slot serves them.  K^b is built
+    only at the multidegrees that the Mayer-Vietoris tree leaves open
+    (nodes of one multidegree in adjacent positions, or off the strand
+    of a linearity test), so a linear ideal's test may read no masks at
+    all.  The slot is
     matched by identity and holds a reference to its ideal, so a slot
     hit is always the same immutable ideal; an equal ideal built
     elsewhere builds its own masks.

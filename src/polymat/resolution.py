@@ -1,27 +1,43 @@
-"""Exact graded Betti numbers of monomial ideals via simplicial homology.
+"""Exact graded Betti numbers of monomial ideals on a Mayer-Vietoris tree.
 
-For each multidegree b in the lcm lattice of the generators, the rank of
-the (i-1)-st reduced homology of the upper Koszul complex
+The tree (E. Saenz-de-Cabezon, "Multigraded Betti numbers without
+computing minimal free resolutions", AAECC 20, 2009) sorts G(I) by
+degree, then decreasing reverse lex, and peels off the last generator
+m: node (s, m), then I' = I without m at shift s and
+G(I' ∩ (m)) = min {lcm(g, m)} at shift s + 1.  Its nodes (position,
+multidegree) are a basis of a free resolution of I, and minimizing it
+cancels only nodes of one multidegree in adjacent positions, so where
+the nodes of b lie in no two adjacent positions, beta_{i,b} is the node
+count at (i, b) over every field.  Elsewhere beta_{i,b} is the (i-1)-st
+reduced homology rank of the upper Koszul complex
 
     K^b = { squarefree tau : x^b / x^tau lies in the ideal }
 
-over the chosen prime field contributes to beta_{i, deg b} (Miller and
-Sturmfels, GTM 227, Thm 1.34).  With D the generators dividing x^b, tau
-is a face exactly when some g in D has g_i < b_i for every i in tau: one
-AND of generator bitmasks per step of a depth-first walk.  The masks are
-read from the generator-mask index ``ideal._ideal_masks``, built once for
-the last ideal asked for, so an ideal whose exchange property was just
-scanned reuses them.  A full simplex has no homology and is skipped before the walk.
-Any other complex is read relative to the closed star of the vertex in
-most facets: the star is a cone, so H~_j(K) = H_j(K, st v) over every
-field, and only the faces outside it (the critical faces) are walked.
-When they lie in one dimension their count is the homology and no
-boundary matrix is built.  Otherwise the boundary ranks between critical
-faces are exact: GF(2) ranks by an XOR basis, redone over the rationals
-only where the GF(2) homology leaves room, and at an odd prime by the
-same integer elimination, reduced mod p.
-``has_linear_resolution`` and ``has_linear_relations`` stop at the first
-multidegree off their strand.
+over the chosen prime field (Miller and Sturmfels, GTM 227, Thm 1.34).
+A node counts against the budget when its multidegree is new, so never
+past the lcm lattice's point count.  The linearity tests skip the
+subtree under an on-strand node whose intersection is m times
+variables, a Koszul complex on the strand, and read K^b once at each
+off-strand multidegree.  They never also use the adjacency rule: a
+skipped node can be the partner that cancels an off-strand one.  On a
+polymatroidal ideal every intersection is m times variables, so they
+read no K^b at all.  The tree only sorts generators; it never asks for
+a linear-quotients certificate, and no Betti path calls ``lcm_lattice``.
+
+With D the generators dividing x^b, tau is a face of K^b exactly when
+some g in D has g_i < b_i for every i in tau: one AND of generator
+bitmasks per step of a depth-first walk.  The masks are read from the
+generator-mask index ``ideal._ideal_masks``, built once for the last
+ideal asked for, so an ideal whose exchange property was just scanned
+reuses them.  A full simplex has no homology and is skipped before the
+walk.  Any other complex is read relative to the closed star of the
+vertex in most facets: the star is a cone, so H~_j(K) = H_j(K, st v)
+over every field, and only the faces outside it (the critical faces)
+are walked.  When they lie in one dimension their count is the homology
+and no boundary matrix is built.  Otherwise the boundary ranks between
+critical faces are exact: GF(2) ranks by an XOR basis, redone over the
+rationals only where the GF(2) homology leaves room, and at an odd prime
+by the same integer elimination, reduced mod p.
 
 An ideal generated in one degree d with linear quotients along u_1, ...,
 u_m, whose colon at step j is generated by r_j variables, has a linear
@@ -30,8 +46,8 @@ resolution with beta_{i,i+d} = sum_j C(r_j, i) over every field
 ``betti_table``, ``is_componentwise_linear`` and the CLI's
 linear-resolution and linear-relations checks first try decreasing
 reverse lex, which gives every polymatroidal ideal linear quotients,
-and read the answer off the steps.  The generators are lattice points,
-so they count against the lattice budget before the first step.
+and read the answer off the steps.  The generators are tree nodes, so
+they count against the budget before the first step.
 ``has_linear_resolution`` and ``has_linear_relations`` never take this
 path, so the lab's homological verdicts stay independent of linear
 quotients.
@@ -44,7 +60,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_, le, or_
 
 from .ideal import (
     MonomialIdeal,
@@ -301,8 +317,8 @@ def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComp
     tau.  Both are read from the masks ``gt`` of ``ideal._ideal_masks``:
     D = ALL & ~OR_i gt[i][b_i], and vertex i has the mask
     D & ~gt[i][b_i - 1].  Raises ValueError when some b_i is no key of
-    ``gt``, which no point of the lcm lattice does, or when b does not
-    have one exponent per variable."""
+    ``gt``, which no point of the lcm lattice (and so no tree node) does,
+    or when b does not have one exponent per variable."""
     if len(b) != I.nvars:
         raise ValueError(f"the multidegree {b} does not have {I.nvars} exponents")
     gt = _ideal_masks(I)
@@ -315,26 +331,64 @@ def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComp
     return SimplicialComplex(D, masks)
 
 
-def _lattice_homology(
-    I: MonomialIdeal, char: int, budget: int
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """(deg b, reduced homology ranks of K^b) over the lcm lattice, lazily."""
-    _validate_char(char)
-    for b in lcm_lattice(I, budget):
-        yield sum(b), upper_koszul_complex(I, b).reduced_homology_ranks(char)
+def _tree_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Degree, then decreasing reverse lex: ascending in this key, the last
+    generator is the least in revlex among those of the top degree."""
+    return sum(exps), exps[::-1]
+
+
+def _intersection(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """G((rest) ∩ (m)) = min {lcm(g, m)}, in ``_tree_key`` order."""
+    kept: list[tuple[int, ...]] = []
+    # a proper divisor has lower degree and comes first; equal ones are gone
+    for q in sorted({tuple(map(max, g, m)) for g in rest}, key=_tree_key):
+        if not any(all(map(le, k, q)) for k in kept):
+            kept.append(q)
+    return kept
+
+
+def _mayer_vietoris_tree(
+    I: MonomialIdeal, budget: int, strand: int | None = None, top: int | None = None
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The nodes (position, multidegree) of the Mayer-Vietoris tree of I,
+    depth first: J at shift s, G(J) in ``_tree_key`` order, gives the
+    node (s, m) for its last generator m, then J' = J without m at s and
+    J' ∩ (m) at s + 1.  Each new multidegree counts against ``budget``.
+    With ``strand`` d, the subtree under an on-strand node (s, m),
+    deg m = s + d, whose intersection is generated in degree deg m + 1
+    is not walked; with ``top``, no intersection past that position is.
+    """
+    made: set[tuple[int, ...]] = set()
+    stack = [(0, sorted((g.exps for g in I.gens), key=_tree_key))]
+    while stack:
+        s, gens = stack.pop()
+        m = gens.pop()
+        if m not in made:
+            made.add(m)
+            if len(made) > budget:
+                raise ResourceLimitExceeded(f"Mayer-Vietoris tree exceeds budget of {budget} multidegrees")
+        yield s, m
+        if not gens:
+            continue
+        if top is None or s < top:
+            meet = _intersection(gens, m)
+            deg = sum(m)
+            if strand is None or deg != s + strand or sum(meet[-1]) != deg + 1:
+                stack.append((s + 1, meet))
+        stack.append((s, gens))
 
 
 def _certificate_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable | None:
     """The Betti table of a single-degree I read off its decreasing-revlex
     linear-quotients certificate, or None when I is of mixed degree or
-    that order gives no linear quotients.  The generators are lattice
-    points, so they count against ``budget`` before any step."""
+    that order gives no linear quotients.  The generators are nodes of
+    the tree, so they count against ``budget`` before any step."""
     _require_proper(I, "Betti numbers")
     if not is_single_degree(I):
         return None
     _validate_char(char)
     if len(I.gens) > budget:
-        raise ResourceLimitExceeded(f"{len(I.gens)} generators exceed the lattice budget of {budget}")
+        raise ResourceLimitExceeded(f"{len(I.gens)} generators exceed the budget of {budget} tree nodes")
     cert = revlex_lq(I)
     if cert is None:
         return None
@@ -345,14 +399,21 @@ def _certificate_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable |
     })
 
 
-def _lattice_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable:
-    """The Betti table of I from the homology of K^b over its lcm lattice."""
-    entries: dict[tuple[int, int], int] = {}
-    for j, homology in _lattice_homology(I, char, budget):
-        for dim, h in homology.items():
-            key = (dim + 1, j)
-            entries[key] = entries.get(key, 0) + h
-    return BettiTable(entries)
+def _tree_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable:
+    """The Betti table of I from its Mayer-Vietoris tree: node counts at
+    each b whose nodes lie in no two adjacent positions, K^b elsewhere."""
+    _validate_char(char)
+    nodes: dict[tuple[int, ...], Counter] = {}
+    for s, b in _mayer_vietoris_tree(I, budget):
+        nodes.setdefault(b, Counter())[s] += 1
+    entries: Counter = Counter()
+    for b, at in nodes.items():
+        if any(s + 1 in at for s in at):
+            homology = upper_koszul_complex(I, b).reduced_homology_ranks(char)
+            at = {dim + 1: h for dim, h in homology.items()}
+        for i, count in at.items():
+            entries[i, sum(b)] += count
+    return BettiTable(dict(entries))
 
 
 def betti_table(
@@ -360,37 +421,44 @@ def betti_table(
 ) -> BettiTable:
     """The exact Betti table of I over a field of the given characteristic:
     off a linear-quotients certificate when decreasing revlex gives one,
-    else from the lcm lattice."""
+    else from the Mayer-Vietoris tree."""
     table = _certificate_betti(I, char, budget)
-    return _lattice_betti(I, char, budget) if table is None else table
+    return _tree_betti(I, char, budget) if table is None else table
+
+
+def _linear_strand(I: MonomialIdeal, char: int, budget: int, top: int | None = None) -> bool:
+    """beta_{i,j} = 0 for j != i + d at every position i (up to ``top``
+    only, when given) of the single-degree I, d its degree.  Walks the
+    tree without the Koszul subtrees on the strand and computes the
+    homology of K^b once at each multidegree b of an off-strand node,
+    stopping at the first off the strand."""
+    _validate_char(char)
+    d, checked = I.gens[0].degree, set()
+    for s, b in _mayer_vietoris_tree(I, budget, strand=d, top=top):
+        if sum(b) != s + d and b not in checked:
+            checked.add(b)
+            homology = upper_koszul_complex(I, b).reduced_homology_ranks(char)
+            if any(sum(b) != dim + 1 + d for dim in homology if top is None or dim < top):
+                return False
+    return True
 
 
 def has_linear_resolution(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
-    """Single degree d and beta_{i,j} = 0 whenever j != i + d.
-
-    Stops at the first multidegree with homology off that strand.
-    """
+    """Single degree d and beta_{i,j} = 0 whenever j != i + d."""
     _require_proper(I, "Betti numbers")
-    if not is_single_degree(I):
-        return False
-    d = I.gens[0].degree
-    lattice = _lattice_homology(I, char, budget)
-    return all(j == dim + 1 + d for j, homology in lattice for dim in homology)
+    return is_single_degree(I) and _linear_strand(I, char, budget)
 
 
 def has_linear_relations(
     I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
 ) -> bool:
-    """beta_{1,j} = 0 for j != d + 1; stops at the first beta_1 off that strand."""
+    """beta_{1,j} = 0 for j != d + 1, on the tree walked to position 1."""
     _require_proper(I, "Betti numbers")
     if not is_single_degree(I):
         raise ValueError("linear relations are defined for equigenerated ideals")
-    d = I.gens[0].degree
-    return all(
-        j == d + 1 for j, homology in _lattice_homology(I, char, budget) if 0 in homology
-    )
+    return _linear_strand(I, char, budget, top=1)
 
 
 def is_componentwise_linear(

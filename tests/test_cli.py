@@ -181,16 +181,16 @@ class TestPredicates:
         assert code == 1 and data["result"] is False and data["failing_degree"] == 60
 
     def test_linear_checks_read_certificates(self, capsys, monkeypatch):
-        # m^2 has linear quotients in decreasing revlex: no lattice homology
-        def no_lattice(*args):
-            raise AssertionError("lattice homology on a certified ideal")
+        # m^2 has linear quotients in decreasing revlex: no tree walk
+        def no_tree(*args, **kwargs):
+            raise AssertionError("Mayer-Vietoris tree on a certified ideal")
 
         m2 = "x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2"
         with monkeypatch.context() as patched:
-            patched.setattr(resolution, "_lattice_homology", no_lattice)
+            patched.setattr(resolution, "_mayer_vietoris_tree", no_tree)
             for prop in ("linear-resolution", "linear-relations", "cw-linear"):
                 assert run(["check", prop, "-n", "3", m2]) == 0, prop
-        # without a certificate the lattice decides: linear relations only
+        # without a certificate the tree decides: linear relations only
         cubics = "x1^3, x1^2*x2, x1^2*x3, x2^3, x1*x2^2, x2^2*x3, x3^3, x1*x3^2, x2*x3^2"
         assert run(["check", "linear-relations", "-n", "3", cubics]) == 0
         assert run(["check", "linear-resolution", "-n", "3", cubics]) == 1
@@ -228,6 +228,12 @@ class TestOperations:
         )
         out = capsys.readouterr().out.strip()
         assert code == 0 and out == "x2*x3, x3*x5*x6"
+
+    def test_saturate_by_a_large_power_is_one_colon(self, capsys):
+        t0 = time.perf_counter()
+        code = run(["saturate", "-n", "2", "x1^1000000*x2, x2^3", "x1"])
+        assert time.perf_counter() - t0 < 0.1
+        assert code == 0 and capsys.readouterr().out.strip() == "x2"
 
     def test_localize_both_flags_error(self, capsys):
         code = run(["localize", "-n", "3", "--ones", "1", "--prime", "2", "x1*x2"])

@@ -187,6 +187,21 @@ class TestSaturate:
         ideal = I("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6)
         assert saturate(ideal, M("x4", 6)) == I("x2*x3, x3*x5*x6", 6)
 
+    def test_one_colon_equals_the_iterated_fixed_point(self):
+        def iterated(ideal, u):
+            prev, cur = ideal, colon(ideal, u)
+            while cur != prev:
+                prev, cur = cur, colon(cur, u)
+            return cur
+
+        us = [Monomial(e) for e in itertools.product(range(3), repeat=3)]
+        checked = 0
+        for ideal in space_ideals(IdealSpace(3, 3, 3)):
+            for u in us:
+                assert saturate(ideal, u) == iterated(ideal, u), (str(ideal), str(u))
+                checked += 1
+        assert checked > 27 * 100
+
 
 class TestLocalize:
     def test_substitution_example(self):

@@ -203,7 +203,7 @@ class TestVerifyEquivalencesColonsOnce:
 
 class TestIndependentOfCertificateBetti:
     """Condition d and the scan's forward check decide linear resolutions
-    by lattice homology alone, never off a linear-quotients certificate."""
+    on the Mayer-Vietoris tree alone, never off a linear-quotients certificate."""
 
     IDEALS = (
         ("x1*x2, x1*x3, x2*x3", 3),
@@ -231,7 +231,7 @@ class TestIndependentOfCertificateBetti:
 
     def test_suite_gap_item_agrees_with_the_lattice(self, monkeypatch):
         # the nonpure-exchange gap ideal's colons are componentwise linear
-        # off certificates and by lattice homology alike
+        # off certificates and on the Mayer-Vietoris tree alike
         def gap_item():
             (item,) = [it for it in example_suite(0).items if it["name"] == "nonpure-exchange-gap"]
             return item

@@ -18,6 +18,7 @@ from polymat.ideal import (
     UnitIdealError,
     ZeroIdealError,
     capped_exponents,
+    colons,
     is_single_degree,
     maximal_ideal,
     monomials_of_degree,
@@ -529,10 +530,14 @@ class TestProjectivePlane:
         betti_table(rp2_ideal(), 0)
         assert calls["gf2"] and calls[0]
         calls.clear()
-        # m^3 has a certificate, so its lattice path is called directly; the
-        # critical faces of each of its K^b lie in one dimension, so no
-        # boundary map is ranked at all
-        table = resolution._lattice_betti(power(maximal_ideal(5), 3), 0, 50_000)
+        # m^3 has a certificate, so its tree path is called directly: the
+        # tree is the mapping cone of its linear quotients and reads no K^b.
+        # The critical faces of each K^b over its lcm lattice lie in one
+        # dimension, so no boundary map is ranked there either
+        m3 = power(maximal_ideal(5), 3)
+        table = resolution._tree_betti(m3, 0, 50_000)
+        for b in lcm_lattice(m3):
+            upper_koszul_complex(m3, b).reduced_homology_ranks(0)
         assert table.entries and not calls
 
 
@@ -565,12 +570,14 @@ class TestMaskIndex:
         built = []
         masks = ideal_module._masks
         monkeypatch.setattr(ideal_module, "_masks", lambda seq: built.append(seq) or masks(seq))
-        J, same = (parse_ideal(self.TEXTS[0], 4) for _ in range(2))
+        # the tree of two disjoint edges reaches K^b at the off-strand
+        # x1*x2*x3*x4; a linear ideal's tree may build no masks at all
+        J, same = (parse_ideal("x1*x2, x3*x4", 4) for _ in range(2))
         is_polymatroidal(J)
-        assert has_linear_resolution(J)
+        assert not has_linear_resolution(J)
         assert len(built) == 1
         # an equal ideal built elsewhere is not matched by equality
-        assert has_linear_resolution(same)
+        assert not has_linear_resolution(same)
         assert len(built) == 2
 
 
@@ -590,7 +597,7 @@ def query_base_ideals(monkeypatch):
 
 class TestCertificateBetti:
     """Tables read off a decreasing-revlex linear-quotients certificate
-    (Herzog-Takayama) against the lattice path and the Taylor oracle."""
+    (Herzog-Takayama) against the Mayer-Vietoris tree and the Taylor oracle."""
 
     def test_equals_lattice_on_exhaustive_space(self):
         certified = 0
@@ -601,7 +608,7 @@ class TestCertificateBetti:
             for char in (0, 2, 3):
                 table = resolution._certificate_betti(ideal, char, 50_000)
                 if table is not None:
-                    assert table == resolution._lattice_betti(ideal, char, 50_000), (str(ideal), char)
+                    assert table == resolution._tree_betti(ideal, char, 50_000), (str(ideal), char)
                     certified += char == 0
         assert certified == 152
 
@@ -612,7 +619,7 @@ class TestCertificateBetti:
             for char in (0, 2, 3):
                 table = resolution._certificate_betti(ideal, char, 50_000)
                 assert table is not None, str(ideal)
-                assert table == resolution._lattice_betti(ideal, char, 50_000), (str(ideal), char)
+                assert table == resolution._tree_betti(ideal, char, 50_000), (str(ideal), char)
                 assert betti_table(ideal, char) == table
 
     def test_budget_counts_generators(self):
@@ -627,6 +634,95 @@ class TestCertificateBetti:
     def test_char_still_validated(self):
         with pytest.raises(ValueError):
             betti_table(I("x1, x2", 2), 4)
+
+
+class TestMayerVietorisTree:
+    """Betti tables and linearity verdicts on the Mayer-Vietoris tree
+    against the Taylor oracle, and the tree's own shape."""
+
+    @pytest.mark.parametrize("params", [(3, 3, 4), (4, 3, 3)])
+    def test_tables_equal_taylor_on_exhaustive_space(self, params):
+        for ideal in exhaustive_space_ideals(*params):
+            for char in (0, 2):
+                expected = taylor_betti(ideal, char)
+                assert resolution._tree_betti(ideal, char, 50_000).entries == expected, (str(ideal), char)
+                if is_single_degree(ideal):
+                    d = ideal.gens[0].degree
+                    linear = all(j == i + d for i, j in expected)
+                    relations = all(j == d + 1 for i, j in expected if i == 1)
+                    assert has_linear_resolution(ideal, char) == linear, (str(ideal), char)
+                    assert has_linear_relations(ideal, char) == relations, (str(ideal), char)
+
+    def test_two_generator_family_in_both_orientations(self):
+        t0 = time.perf_counter()
+        for n in range(2, 41):
+            rest = "*".join(f"x{i}" for i in range(2, n + 1))
+            last = "*".join(f"x{i}" for i in range(1, n))
+            for text in (f"x1, {rest}", f"x{n}, {last}"):
+                ideal = I(text, n)
+                table = {(0, 1): 1, (0, n - 1): 1, (1, n): 1} if n > 2 else {(0, 1): 2, (1, 2): 1}
+                assert betti_table(ideal).entries == table, text
+                assert has_linear_resolution(ideal) == (n == 2), text
+                # three nodes: both generators and their lcm
+                assert len(list(resolution._mayer_vietoris_tree(ideal, 3))) == 3
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_nodes_count_against_the_budget(self):
+        ideal = I("x1, x2*x3*x4", 4)
+        assert resolution._tree_betti(ideal, 0, 3).entries == {(0, 1): 1, (0, 3): 1, (1, 4): 1}
+        with pytest.raises(ResourceLimitExceeded, match="budget of 2 multidegrees"):
+            resolution._tree_betti(ideal, 0, 2)
+        # 11 nodes at 8 multidegrees: each multidegree is charged once
+        ideal = I("x3^2, x2^2*x3, x1*x2*x3, x1*x2^2", 3)
+        nodes = list(resolution._mayer_vietoris_tree(ideal, 8))
+        assert len(nodes) == 11 and len({b for _, b in nodes}) == 8
+        with pytest.raises(ResourceLimitExceeded):
+            list(resolution._mayer_vietoris_tree(ideal, 7))
+
+    @pytest.mark.parametrize("params", [(3, 3, 4), (4, 3, 3)])
+    def test_answers_wherever_the_lattice_budget_did(self, params):
+        # node multidegrees are lattice points, so no budget that the lcm
+        # lattice met is exceeded on the tree
+        for ideal in exhaustive_space_ideals(*params):
+            points = len(lcm_lattice(ideal))
+            resolution._tree_betti(ideal, 0, points)
+            if is_single_degree(ideal):
+                has_linear_resolution(ideal, 0, points)
+                has_linear_relations(ideal, 0, points)
+
+    def test_polymatroidal_colons_need_no_homology(self, monkeypatch):
+        # decreasing revlex makes every intersection m times variables, so
+        # each subtree is a Koszul complex on the strand and no K^b is read
+        ideals = [J for base in query_base_ideals(monkeypatch)[:6] for _, J in colons(base)]
+        assert len(ideals) > 50
+
+        def no_homology(*args):
+            raise AssertionError("K^b built for a polymatroidal ideal")
+
+        monkeypatch.setattr(resolution, "upper_koszul_complex", no_homology)
+        for J in ideals:
+            assert is_polymatroidal(J), str(J)
+            assert has_linear_resolution(J) and has_linear_relations(J), str(J)
+
+    def test_tree_only_sorts_generators(self, monkeypatch):
+        # condition d stays independent of condition c and of the lattice
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the tree called a linear-quotients or lattice routine")
+
+        from polymat import quotients
+
+        for module, name in (
+            (resolution, "revlex_lq"), (resolution, "lcm_lattice"),
+            (quotients, "revlex_lq"), (quotients, "check_lq_order"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        for text, n, linear in (
+            ("x1*x2, x2*x3, x1*x3", 3, True), ("x1*x2, x3*x4", 4, False), ("x1^2, x2^2, x3^2", 3, False)
+        ):
+            ideal = I(text, n)
+            assert resolution._tree_betti(ideal, 0, 50_000).entries == taylor_betti(ideal)
+            assert has_linear_resolution(ideal) == linear
+            assert has_linear_relations(ideal) == linear
 
 
 class TestRankGF2:
@@ -704,3 +800,21 @@ def test_certificate_betti_matches_taylor_property(drawn, char):
     assert table is not None or not must_certify, str(ideal)
     if table is not None:
         assert table.entries == taylor_betti(ideal, char), (str(ideal), char)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(monomials(n).filter(lambda m: 0 < m.degree), min_size=1, max_size=6)
+    ),
+    st.sampled_from((0, 2)),
+)
+def test_tree_matches_taylor_property(gens, char):
+    ideal = MonomialIdeal(len(gens[0].exps), gens)
+    if ideal.is_unit:
+        return
+    expected = taylor_betti(ideal, char)
+    assert resolution._tree_betti(ideal, char, 50_000).entries == expected, (str(ideal), char)
+    d = ideal.gens[0].degree
+    linear = is_single_degree(ideal) and all(j == i + d for i, j in expected)
+    assert has_linear_resolution(ideal, char) == linear, (str(ideal), char)
