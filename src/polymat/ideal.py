@@ -541,7 +541,9 @@ def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
     least t.
 
     The keys are the exponents that occur, so the build is O(N*n) with a
-    sort of each column's distinct exponents, whatever their size.
+    sort of each column's distinct exponents, whatever their size.  The
+    exchange scan of ``polymatroid`` and the linear-quotients step test
+    of ``quotients`` each build their own, once per call.
     """
     gt = []
     for col in zip(*(g.exps for g in seq)):
@@ -559,30 +561,6 @@ def _masks(seq: Sequence[Monomial]) -> list[dict[int, int]]:
             above[e - 1] = higher  # the positions with exponent at least e
         gt.append(above)
     return gt
-
-
-# the last ideal whose generator masks were asked for, and those masks
-_indexed: tuple[MonomialIdeal | None, list[dict[int, int]]] = (None, [])
-
-
-def _ideal_masks(I: MonomialIdeal) -> list[dict[int, int]]:
-    """``_masks(I.gens)``, built once for the last ideal asked for.
-
-    The exchange scan of ``polymatroid`` and the upper Koszul complexes of
-    ``resolution`` both read G(I) through these masks, and the lab asks
-    both of each ideal in turn, so one slot serves them.  K^b is built
-    only at the multidegrees that the Mayer-Vietoris tree leaves open
-    (nodes of one multidegree in adjacent positions, or off the strand
-    of a linearity test), so a linear ideal's test may read no masks at
-    all.  The slot is
-    matched by identity and holds a reference to its ideal, so a slot
-    hit is always the same immutable ideal; an equal ideal built
-    elsewhere builds its own masks.
-    """
-    global _indexed
-    if _indexed[0] is not I:
-        _indexed = (I, _masks(I.gens))
-    return _indexed[1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .ideal import (
     ResourceLimitExceeded,
     _check_enumeration,
     _component_size,
-    _ideal_masks,
+    _masks,
     _require_proper,
     capped_exponents,
     component,
@@ -96,9 +96,10 @@ def _exchange_violation(
     then i in canonical generator order, or by v first when
     ``smaller_first``.
 
-    One pass per generator u, on the masks ``gt`` of G(I) from
-    ``ideal._ideal_masks``.  For each i with u_i > 0 the candidates v are
-    ~gt[i][u_i - 1] (v_i < u_i), cut to the degrees up to deg u.  A move
+    One pass per generator u, on the masks ``gt = ideal._masks(G(I))``,
+    built once per call at the first u with a v to exchange with.  For
+    each i with u_i > 0 the candidates v are ~gt[i][u_i - 1]
+    (v_i < u_i), cut to the degrees up to deg u.  A move
     x_j * u / x_i that lies in I clears gt[j][u_j] (v_j > u_j) from them,
     and whatever no move clears fails.  G(I) is an antichain, so a
     generator g dividing the move is not u and does not divide u: it
@@ -110,13 +111,15 @@ def _exchange_violation(
     upto: dict[int, int] = {}  # degree -> the positions of at most that degree
     for k, g in enumerate(gens):
         upto[g.degree] = (2 << k) - 1
-    found = None
+    found = gt = None
     limit = -1  # with smaller_first, the v below the best one so far
     for k, u in enumerate(gens):
         window = upto[u.degree] & limit & ~(1 << k)
         if not window:
             continue  # no v to exchange with, and no masks needed for u
-        cols = list(zip(_ideal_masks(I), u.exps))
+        if gt is None:
+            gt = _masks(gens)
+        cols = list(zip(gt, u.exps))
         once = twice = 0  # the generators exceeding u in some, in two variables
         for col, e in cols:
             above = col[e]

@@ -19,8 +19,7 @@ The test runs on int bitmasks over the positions of the whole sequence
 of the exponents:
 ``gt[i][t]`` holds the positions k with g_k,i > t, for each exponent t
 of x_(i+1) that occurs in the sequence and for t - 1 and t + 1; the
-key t - 1 holds the positions with exponent at least t, which the upper
-Koszul complexes of ``resolution`` read off the same index.  With P the
+key t - 1 holds the positions with exponent at least t.  With P the
 mask of the predecessors, A_i = gt[i][v_i] & P holds those whose quotient
 involves x_i.  The step fails when the A_i do not cover P (some
 predecessor divides v).  A predecessor lies in exactly one A_i and

@@ -26,18 +26,16 @@ a linear-quotients certificate, and no Betti path calls ``lcm_lattice``.
 
 With D the generators dividing x^b, tau is a face of K^b exactly when
 some g in D has g_i < b_i for every i in tau: one AND of generator
-bitmasks per step of a depth-first walk.  The masks are read from the
-generator-mask index ``ideal._ideal_masks``, built once for the last
-ideal asked for, so an ideal whose exchange property was just scanned
-reuses them.  A full simplex has no homology and is skipped before the
-walk.  Any other complex is read relative to the closed star of the
-vertex in most facets: the star is a cone, so H~_j(K) = H_j(K, st v)
-over every field, and only the faces outside it (the critical faces)
-are walked.  When they lie in one dimension their count is the homology
-and no boundary matrix is built.  Otherwise the boundary ranks between
-critical faces are exact: GF(2) ranks by an XOR basis, redone over the
-rationals only where the GF(2) homology leaves room, and at an odd prime
-by the same integer elimination, reduced mod p.
+bitmasks per step of a depth-first walk.  The masks are read off G(I)
+in one pass at each b, for any b with one exponent per variable.  A
+full simplex has no homology and is skipped before the walk.  Any other
+complex is read relative to the closed star of the vertex in most
+facets: the star is a cone, so H~_j(K) = H_j(K, st v) over every field,
+and only the faces outside it (the critical faces) are walked.  When
+they lie in one dimension their count is the homology and no boundary
+matrix is built.  Otherwise the boundary ranks between critical faces
+are exact, by one integer elimination over the rationals or reduced mod
+p at a prime, 2 included.
 
 An ideal generated in one degree d with linear quotients along u_1, ...,
 u_m, whose colon at step j is generated by r_j variables, has a linear
@@ -60,12 +58,11 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, le, or_
+from operator import and_, le
 
 from .ideal import (
     MonomialIdeal,
     ResourceLimitExceeded,
-    _ideal_masks,
     _require_proper,
     component,
     is_single_degree,
@@ -143,17 +140,6 @@ def matrix_rank(rows: list[list[int]], char: int) -> int:
     return rank
 
 
-def rank_gf2(columns: list[int]) -> int:
-    """Rank over GF(2) of vectors held as int bitsets, by an XOR basis."""
-    basis: dict[int, int] = {}
-    for v in columns:
-        while v and v.bit_length() in basis:
-            v ^= basis[v.bit_length()]
-        if v:
-            basis[v.bit_length()] = v
-    return len(basis)
-
-
 # ---------------------------------------------------------------------------
 # simplicial complexes and reduced homology
 # ---------------------------------------------------------------------------
@@ -218,10 +204,7 @@ class SimplicialComplex:
         as the homology relative to the star of the vertex in most facets.
 
         Only boundary maps between two nonempty layers of critical faces
-        are ranked.  In characteristic 0 each is first ranked over GF(2).
-        The rank can only grow over the rationals and no homology is
-        negative, so it is redone exactly only where the GF(2) homology is
-        nonzero in both dimensions it touches."""
+        are ranked."""
         _validate_char(char)
         facets, masks = self.facets, self.masks
         # a facet holding every vertex makes a simplex, read off the masks alone
@@ -234,12 +217,8 @@ class SimplicialComplex:
         filled = [j for j, fs in enumerate(layers) if fs]
         if len(filled) < 2:
             return {j - 1: len(layers[j]) for j in filled}
-        ranks = [0, *(_boundary_rank(layers, j, char or 2) for j in range(1, len(layers))), 0]
-        homology = _homology(layers, ranks)
-        lifted = [j for j in range(1, len(layers)) if homology[j] and homology[j - 1]] if char == 0 else []
-        for j in lifted:
-            ranks[j] = _boundary_rank(layers, j, 0)
-        return {j - 1: h for j, h in enumerate(_homology(layers, ranks) if lifted else homology) if h}
+        ranks = [0, *(_boundary_rank(layers, j, char) for j in range(1, len(layers))), 0]
+        return {j - 1: h for j, h in enumerate(_homology(layers, ranks)) if h}
 
 
 def _homology(layers: list[list[int]], ranks: list[int]) -> list[int]:
@@ -252,16 +231,14 @@ def _homology(layers: list[list[int]], ranks: list[int]) -> list[int]:
 
 def _boundary_rank(layers: list[list[int]], j: int, char: int) -> int:
     """Rank of the boundary map out of layer j: 0 with no matrix when layer
-    j or j - 1 is empty, by ``rank_gf2`` at 2, else on signed rows.  A
-    face of layer j - 1 that was not walked has no row, but keeps its
-    place in the sign count."""
+    j or j - 1 is empty, else ``matrix_rank`` on signed rows.  A face of
+    layer j - 1 that was not walked has no row, but keeps its place in
+    the sign count."""
     if not (layers[j] and layers[j - 1]):
         return 0
     row = {f: 1 << r for r, f in enumerate(layers[j - 1])}
     bits = [1 << k for k in range(max(layers[j]).bit_length())]
     cols = [[row.get(f ^ v, 0) for v in bits if f & v] for f in layers[j]]
-    if char == 2:
-        return rank_gf2([sum(col) for col in cols])
     rows = [[(-1) ** col.index(bit) if bit in col else 0 for col in cols] for bit in row.values()]
     return matrix_rank(rows, char)
 
@@ -314,20 +291,15 @@ def upper_koszul_complex(I: MonomialIdeal, b: tuple[int, ...]) -> SimplicialComp
     """The complex of squarefree tau inside supp(b) with x^b / x^tau in I,
     vertices relabelled 0..k-1 along supp(b).  A generator g divides
     x^b / x^tau exactly when g divides x^b and g_i < b_i for each i in
-    tau.  Both are read from the masks ``gt`` of ``ideal._ideal_masks``:
-    D = ALL & ~OR_i gt[i][b_i], and vertex i has the mask
-    D & ~gt[i][b_i - 1].  Raises ValueError when some b_i is no key of
-    ``gt``, which no point of the lcm lattice (and so no tree node) does,
-    or when b does not have one exponent per variable."""
+    tau, so one pass over G(I) gives D, the bitmask of the generators
+    dividing x^b, and each vertex i the mask of those in D with
+    g_i < b_i.  Raises ValueError when b does not have one exponent per
+    variable."""
     if len(b) != I.nvars:
         raise ValueError(f"the multidegree {b} does not have {I.nvars} exponents")
-    gt = _ideal_masks(I)
-    try:
-        above = reduce(or_, (col[e] for col, e in zip(gt, b)), 0)
-        D = ((1 << len(I.gens)) - 1) & ~above
-        masks = [D & ~col[e - 1] for col, e in zip(gt, b) if e]
-    except KeyError:
-        raise ValueError(f"the generator masks do not index the multidegree {b}") from None
+    divisors = [(1 << k, g.exps) for k, g in enumerate(I.gens) if all(map(le, g.exps, b))]
+    D = sum(bit for bit, _ in divisors)
+    masks = [sum(bit for bit, g in divisors if g[i] < e) for i, e in enumerate(b) if e]
     return SimplicialComplex(D, masks)
 
 
