@@ -611,23 +611,27 @@ def colons(I: MonomialIdeal) -> Iterator[tuple[Monomial, MonomialIdeal]]:
     DEFAULT_MONOMIAL_BUDGET before any colon is built.  A best-first walk
     pops the least u and, from the first u of each colon J, pushes J : x_i
     at u * x_i while u_i is below the lcm; (degree, lex) is a monomial
-    order, so each colon first pops at its least u.
+    order, so each colon first pops at its least u.  The first pair is
+    (1, I), with I itself.  Each u and each x_i is built with the trusted
+    ``Monomial._raw``; every step J : x_i is one call of ``colon``.
     """
     top = I.lcm_gens()
     if top is None:
         return
     _check_enumeration("colons", math.prod(e + 1 for e in top.exps), "divisors")
     n = I.nvars
-    xs = [Monomial(tuple(int(k == i) for k in range(n))) for i in range(n)]
+    xs = [Monomial._raw(tuple(int(k == i) for k in range(n)), 1) for i in range(n)]
     heap, pushed, seen = [(0, (0,) * n, I)], {(0,) * n}, set()
     while heap:
         d, exps, J = heapq.heappop(heap)
-        if J.is_unit or J in seen:
-            continue  # the unit ideal's colons are all the unit ideal
+        # a unit ideal has the single generator 1, and every colon of it is the unit ideal
+        if not J.gens[0].degree or J in seen:
+            continue
         seen.add(J)
-        yield Monomial(exps), J
+        yield Monomial._raw(exps, d), J
         for i, cap in enumerate(top.exps):
-            v = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-            if exps[i] < cap and v not in pushed:
-                pushed.add(v)
-                heapq.heappush(heap, (d + 1, v, colon(J, xs[i])))
+            if exps[i] < cap:
+                v = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                if v not in pushed:
+                    pushed.add(v)
+                    heapq.heappush(heap, (d + 1, v, colon(J, xs[i])))

@@ -249,7 +249,8 @@ def verify_equivalences(I: MonomialIdeal, char: int = 0) -> EquivalenceRecord:
             conditions["e"] = False
             witnesses["e"] = {"u": str(u), "degrees": list(J.degrees())}
         if conditions["b"]:
-            ok_b, wit_b = is_polymatroidal(J)
+            # the first colon is I : 1, I itself, already decided for a
+            ok_b, wit_b = (ok_a, wit_a) if J is I else is_polymatroidal(J)
             if not ok_b:
                 conditions["b"] = False
                 witnesses["b"] = {

@@ -18,11 +18,14 @@ A node counts against the budget when its multidegree is new, so never
 past the lcm lattice's point count.  The linearity tests skip the
 subtree under an on-strand node whose intersection is m times
 variables, a Koszul complex on the strand, and read K^b once at each
-off-strand multidegree.  They never also use the adjacency rule: a
-skipped node can be the partner that cancels an off-strand one.  On a
-polymatroidal ideal every intersection is m times variables, so they
-read no K^b at all.  The tree only sorts generators; it never asks for
-a linear-quotients certificate, and no Betti path calls ``lcm_lattice``.
+off-strand multidegree.  The skip is decided on exponents before any
+intersection is built: every g left must exceed m in some variable in
+which another g exceeds m alone and by one.  They never also use the
+adjacency rule: a skipped node can be the partner that cancels an
+off-strand one.  On a polymatroidal ideal every intersection is m times
+variables, so they build no intersection and read no K^b at all.  The
+tree only sorts generators; it never asks for a linear-quotients
+certificate, and no Betti path calls ``lcm_lattice``.
 
 With D the generators dividing x^b, tau is a face of K^b exactly when
 some g in D has g_i < b_i for every i in tau: one AND of generator
@@ -319,6 +322,31 @@ def _intersection(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> list[tuple
     return kept
 
 
+def _meets_next_degree(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> bool:
+    """G((rest) ∩ (m)) is generated in degree deg m + 1, for a nonempty
+    ``rest``, decided on exponents without building the intersection.
+
+    The lcms of degree deg m + 1 are the m * x_j for j in S, the
+    variables in which some g exceeds m alone and by exactly one.  The
+    intersection is generated in that degree exactly when each lcm(g, m)
+    is a multiple of some m * x_j, j in S, that is when each g has
+    g_j > m_j for some j in S.  A g dividing m exceeds it nowhere and
+    fails, as its lcm m has degree deg m."""
+    linear, over = 0, []  # S as a bitmask; the variables where each other g exceeds m
+    for g in rest:
+        up = excess = 0
+        for j, a in enumerate(g):
+            x = a - m[j]
+            if x > 0:
+                up |= 1 << j
+                excess += x
+        if excess == 1:
+            linear |= up
+        else:
+            over.append(up)
+    return all(up & linear for up in over)
+
+
 def _mayer_vietoris_tree(
     I: MonomialIdeal, budget: int, strand: int | None = None, top: int | None = None
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -328,7 +356,9 @@ def _mayer_vietoris_tree(
     J' ∩ (m) at s + 1.  Each new multidegree counts against ``budget``.
     With ``strand`` d, the subtree under an on-strand node (s, m),
     deg m = s + d, whose intersection is generated in degree deg m + 1
-    is not walked; with ``top``, no intersection past that position is.
+    is not walked, and that intersection is never built: the degree is
+    read off the exponents (``_meets_next_degree``).  With ``top``, no
+    intersection past that position is built.
     """
     made: set[tuple[int, ...]] = set()
     stack = [(0, sorted((g.exps for g in I.gens), key=_tree_key))]
@@ -343,10 +373,8 @@ def _mayer_vietoris_tree(
         if not gens:
             continue
         if top is None or s < top:
-            meet = _intersection(gens, m)
-            deg = sum(m)
-            if strand is None or deg != s + strand or sum(meet[-1]) != deg + 1:
-                stack.append((s + 1, meet))
+            if strand is None or sum(m) != s + strand or not _meets_next_degree(gens, m):
+                stack.append((s + 1, _intersection(gens, m)))
         stack.append((s, gens))
 
 
@@ -401,9 +429,10 @@ def betti_table(
 def _linear_strand(I: MonomialIdeal, char: int, budget: int, top: int | None = None) -> bool:
     """beta_{i,j} = 0 for j != i + d at every position i (up to ``top``
     only, when given) of the single-degree I, d its degree.  Walks the
-    tree without the Koszul subtrees on the strand and computes the
-    homology of K^b once at each multidegree b of an off-strand node,
-    stopping at the first off the strand."""
+    tree without the Koszul subtrees on the strand, each recognized on
+    exponents with no intersection built, and computes the homology of
+    K^b once at each multidegree b of an off-strand node, stopping at the
+    first off the strand."""
     _validate_char(char)
     d, checked = I.gens[0].degree, set()
     for s, b in _mayer_vietoris_tree(I, budget, strand=d, top=top):

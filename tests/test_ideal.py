@@ -433,6 +433,14 @@ class TestColons:
     def test_zero_ideal_has_no_colons(self):
         assert list(colons(I("", 2))) == []
 
+    def test_yielded_monomials_equal_checked_ones(self):
+        # the walk builds each u with the trusted constructor
+        for ideal in space_ideals(IdealSpace(3, 3, 4)):
+            for u, _ in colons(ideal):
+                checked = Monomial(u.exps)
+                assert type(u.exps) is tuple and u == checked, (str(ideal), u.exps)
+                assert u.degree == checked.degree, (str(ideal), u.exps)
+
 
 # ---------------------------------------------------------------------------
 # property-based checks

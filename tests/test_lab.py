@@ -15,6 +15,7 @@ from polymat.ideal import (
     ResourceLimitExceeded,
     UnitIdealError,
     colon,
+    colons,
     is_single_degree,
     localize,
     parse_ideal,
@@ -199,6 +200,25 @@ class TestVerifyEquivalencesColonsOnce:
             verify_equivalences(ideal)
             assert seen and len(seen) == len(set(seen)), text
             assert not any(J.is_unit for J in seen), text
+
+    def test_polymatroidality_decided_once_per_colon(self, monkeypatch):
+        # condition a's verdict on I serves condition b at the first colon, I : 1
+        seen = []
+
+        def counting(J):
+            seen.append(J)
+            return is_polymatroidal(J)
+
+        monkeypatch.setattr(lab, "is_polymatroidal", counting)
+        polymatroidal = [("x1*x2, x1*x3, x2*x3", 3), ("x1^2, x1*x2, x2^2", 2), ("x1*x2, x1*x3, x1*x4", 4)]
+        for text, n in self.CASES + polymatroidal:
+            ideal = I(text, n)
+            assert next(colons(ideal))[1] is ideal, text
+            seen.clear()
+            rec = verify_equivalences(ideal)
+            assert seen[0] is ideal and len(seen) == len(set(seen)), text
+            if rec.conditions["b"]:
+                assert len(seen) == len(list(colons(ideal))), text
 
 
 class TestIndependentOfCertificateBetti:

@@ -690,13 +690,16 @@ class TestMayerVietorisTree:
             assert has_linear_resolution(J) and has_linear_relations(J), str(J)
 
     def test_tree_only_sorts_generators(self, monkeypatch):
-        # condition d stays independent of condition c and of the lattice
+        # condition d stays independent of condition c and of the lattice;
+        # the on-strand skip reads exponents, not the generator-mask index
+        assert not hasattr(resolution, "_masks") and not hasattr(resolution, "_mask_step")
+
         def forbidden(*args, **kwargs):
-            raise AssertionError("the tree called a linear-quotients or lattice routine")
+            raise AssertionError("the tree called a linear-quotients, mask or lattice routine")
 
         for module, name in (
             (resolution, "revlex_lq"), (resolution, "lcm_lattice"),
-            (quotients, "revlex_lq"), (quotients, "check_lq_order"),
+            (quotients, "revlex_lq"), (quotients, "check_lq_order"), (quotients, "_mask_step"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         for text, n, linear in (
@@ -706,6 +709,75 @@ class TestMayerVietorisTree:
             assert resolution._tree_betti(ideal, 0, 50_000).entries == taylor_betti(ideal)
             assert has_linear_resolution(ideal) == linear
             assert has_linear_relations(ideal) == linear
+
+
+def reference_tree(ideal, budget, strand=None, top=None):
+    """The tree walk that builds every intersection it may enter and then
+    reads the on-strand skip off its last generator's degree."""
+    made = set()
+    stack = [(0, sorted((g.exps for g in ideal.gens), key=resolution._tree_key))]
+    while stack:
+        s, gens = stack.pop()
+        m = gens.pop()
+        if m not in made:
+            made.add(m)
+            if len(made) > budget:
+                raise ResourceLimitExceeded(f"reference tree exceeds budget of {budget} multidegrees")
+        yield s, m
+        if not gens:
+            continue
+        if top is None or s < top:
+            meet = resolution._intersection(gens, m)
+            deg = sum(m)
+            if strand is None or deg != s + strand or sum(meet[-1]) != deg + 1:
+                stack.append((s + 1, meet))
+        stack.append((s, gens))
+
+
+class TestOnStrandSkip:
+    """The skip under an on-strand node, decided on exponents, against the
+    degree of the intersection that the reference walk builds."""
+
+    @pytest.mark.parametrize("params", [(3, 3, 4), (4, 3, 3)])
+    def test_nodes_equal_the_reference_walk(self, params):
+        pruned = 0
+        for ideal in exhaustive_space_ideals(*params):
+            d = ideal.gens[0].degree
+            for top in (None, 1):
+                expected = list(reference_tree(ideal, 50_000, strand=d, top=top))
+                nodes = list(resolution._mayer_vietoris_tree(ideal, 50_000, strand=d, top=top))
+                assert nodes == expected, (str(ideal), top)
+                # the same multidegrees are charged, so the same budget is the first to fail
+                budget = len({b for _, b in expected})
+                with pytest.raises(ResourceLimitExceeded):
+                    list(resolution._mayer_vietoris_tree(ideal, budget - 1, strand=d, top=top))
+                if top is None:
+                    pruned += len(nodes) < len(list(reference_tree(ideal, 50_000)))
+        assert pruned > 100
+
+
+def check_skip_at_every_split(gens):
+    """At each split (gens[:k], gens[k]) of a ``_tree_key``-sorted
+    antichain and inside each intersection, the exponent test equals the
+    degree of the intersection's last generator."""
+    for k in range(1, len(gens)):
+        rest, m = gens[:k], gens[k]
+        meet = resolution._intersection(rest, m)
+        assert resolution._meets_next_degree(rest, m) == (sum(meet[-1]) == sum(m) + 1), (rest, m, meet)
+        check_skip_at_every_split(meet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=8)
+    )
+)
+@example([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+@example([(2, 0, 0), (0, 2, 0), (1, 1, 1)])
+def test_skip_decided_on_exponents_matches_the_intersection(exps):
+    ideal = MonomialIdeal(len(exps[0]), [Monomial(e) for e in exps])
+    check_skip_at_every_split(sorted((g.exps for g in ideal.gens), key=resolution._tree_key))
 
 
 # ---------------------------------------------------------------------------
