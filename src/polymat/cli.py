@@ -48,8 +48,7 @@ from .polymatroid import (
 from .primes import associated_primes, irreducible_decomposition
 from .quotients import DEFAULT_SEARCH_CAP, check_lq_order, extend_lq_veronese, find_lq_order, revlex_lq
 from .resolution import (
-    DEFAULT_LATTICE_BUDGET,
-    _certificate_betti,
+    DEFAULT_NODE_BUDGET,
     betti_table,
     has_linear_relations,
     has_linear_resolution,
@@ -104,15 +103,6 @@ def _homological(predicate):
     return lambda I, args: (predicate(I, args.char, args.budget), None, {})
 
 
-def _certified(predicate):
-    """True on a linear-quotients certificate, which implies a linear
-    resolution; otherwise the predicate decides."""
-    def check(I, args):
-        ok = _certificate_betti(I, args.char, args.budget) is not None
-        return ok or predicate(I, args.char, args.budget), None, {}
-    return check
-
-
 # property -> (its leaf reads --char and --budget, check)
 CHECKS = {
     "polymatroidal": (False, _exchange(is_polymatroidal)),
@@ -122,8 +112,8 @@ CHECKS = {
     "cw-polymatroidal": (False, _by_degree(is_componentwise_polymatroidal)),
     "cw-veronese": (False, _by_degree(is_componentwise_veronese)),
     "single-degree": (False, _plain(is_single_degree)),
-    "linear-resolution": (True, _certified(has_linear_resolution)),
-    "linear-relations": (True, _certified(has_linear_relations)),
+    "linear-resolution": (True, _homological(has_linear_resolution)),
+    "linear-relations": (True, _homological(has_linear_relations)),
     "cw-linear": (True, _homological(is_componentwise_linear)),
 }
 
@@ -281,10 +271,7 @@ def _budget(default: int, what: str) -> argparse.ArgumentParser:
 def _build_parser() -> argparse.ArgumentParser:
     js = _option("--json", action="store_true", help="emit one JSON object")
     char = _option("--char", type=int, default=0, help="characteristic, 0 (default) or a prime below 2^64")
-    nodes = _budget(
-        DEFAULT_LATTICE_BUDGET,
-        "tree nodes, one per multidegree; a linear-quotients certificate counts its generators",
-    )
+    nodes = _budget(DEFAULT_NODE_BUDGET, "tree nodes, one per multidegree")
     base = _option("--base", default="", help="base ideal the generators extend (default zero)")
     increasing = _option("--increasing", action="store_true", help="process revlex increasing")
     nv = _option("-n", "--nvars", type=int, required=True, help="number of variables (x1..xn)")

@@ -20,12 +20,12 @@ subtree under an on-strand node whose intersection is m times
 variables, a Koszul complex on the strand, and read K^b once at each
 off-strand multidegree.  The skip is decided on exponents before any
 intersection is built: every g left must exceed m in some variable in
-which another g exceeds m alone and by one.  They never also use the
-adjacency rule: a skipped node can be the partner that cancels an
-off-strand one.  On a polymatroidal ideal every intersection is m times
-variables, so they build no intersection and read no K^b at all.  The
-tree only sorts generators; it never asks for a linear-quotients
-certificate, and no Betti path calls ``lcm_lattice``.
+which another g exceeds m alone and by one.  A walk that skips never
+also uses the adjacency rule: a skipped node can be the partner that
+cancels an off-strand one.  On a polymatroidal ideal every intersection
+is m times variables, so the linearity tests and ``betti_table`` build
+no intersection and read no K^b at all.  The tree only sorts
+generators, and no Betti path calls ``lcm_lattice``.
 
 With D the generators dividing x^b, tau is a face of K^b exactly when
 some g in D has g_i < b_i for every i in tau: one AND of generator
@@ -43,15 +43,15 @@ p at a prime, 2 included.
 An ideal generated in one degree d with linear quotients along u_1, ...,
 u_m, whose colon at step j is generated by r_j variables, has a linear
 resolution with beta_{i,i+d} = sum_j C(r_j, i) over every field
-(Herzog and Takayama, "Resolutions by mapping cones", 2002).  So
-``betti_table``, ``is_componentwise_linear`` and the CLI's
-linear-resolution and linear-relations checks first try decreasing
-reverse lex, which gives every polymatroidal ideal linear quotients,
-and read the answer off the steps.  The generators are tree nodes, so
-they count against the budget before the first step.
-``has_linear_resolution`` and ``has_linear_relations`` never take this
-path, so the lab's homological verdicts stay independent of linear
-quotients.
+(Herzog and Takayama, "Resolutions by mapping cones", 2002).  On the
+tree's spine the on-strand skip is that step in decreasing reverse lex,
+so ``betti_table`` reads the table of a single-degree ideal off the
+skipping walk, C(r, k) at position s + k for each node skipped over r
+variables, and falls back to the whole tree at the first off-strand
+node.  The walk charges each spine node once, |G(I)| on an ideal with
+linear quotients in that order.  Every Betti path and linearity test
+runs on the tree alone and this module does not import ``quotients``,
+so the lab's homological verdicts stay independent of linear quotients.
 """
 
 from __future__ import annotations
@@ -70,9 +70,8 @@ from .ideal import (
     component,
     is_single_degree,
 )
-from .quotients import revlex_lq
 
-DEFAULT_LATTICE_BUDGET = 50_000
+DEFAULT_NODE_BUDGET = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +273,11 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_LATTICE_BUDGET) -> list[tuple[int, ...]]:
+def lcm_lattice(I: MonomialIdeal, budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[int, ...]]:
     """All joins (componentwise max) of nonempty generator subsets, by
     (degree, b), in one pass over the generators: L <- L | {b v g : b in L} | {g}.
+    No Betti path calls it; it is kept only for the tests and the
+    benchmark's per-layer series.
 
     Raises ResourceLimitExceeded once there are more than ``budget`` points,
     checked after each generator, so the set never exceeds 2 * budget + 1.
@@ -322,9 +323,10 @@ def _intersection(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> list[tuple
     return kept
 
 
-def _meets_next_degree(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> bool:
-    """G((rest) ∩ (m)) is generated in degree deg m + 1, for a nonempty
-    ``rest``, decided on exponents without building the intersection.
+def _meets_next_degree(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> int:
+    """|S| when G((rest) ∩ (m)) = m * (x_j : j in S), for a nonempty
+    ``rest``, else 0, decided on exponents without building the
+    intersection.
 
     The lcms of degree deg m + 1 are the m * x_j for j in S, the
     variables in which some g exceeds m alone and by exactly one.  The
@@ -344,21 +346,21 @@ def _meets_next_degree(rest: list[tuple[int, ...]], m: tuple[int, ...]) -> bool:
             linear |= up
         else:
             over.append(up)
-    return all(up & linear for up in over)
+    return linear.bit_count() if all(up & linear for up in over) else 0
 
 
 def _mayer_vietoris_tree(
     I: MonomialIdeal, budget: int, strand: int | None = None, top: int | None = None
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The nodes (position, multidegree) of the Mayer-Vietoris tree of I,
-    depth first: J at shift s, G(J) in ``_tree_key`` order, gives the
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The nodes (position, multidegree, r) of the Mayer-Vietoris tree of
+    I, depth first: J at shift s, G(J) in ``_tree_key`` order, gives the
     node (s, m) for its last generator m, then J' = J without m at s and
     J' ∩ (m) at s + 1.  Each new multidegree counts against ``budget``.
     With ``strand`` d, the subtree under an on-strand node (s, m),
-    deg m = s + d, whose intersection is generated in degree deg m + 1
-    is not walked, and that intersection is never built: the degree is
-    read off the exponents (``_meets_next_degree``).  With ``top``, no
-    intersection past that position is built.
+    deg m = s + d, whose intersection is m * (x_j : j in S) is not
+    walked, and that intersection is never built: r = |S| is read off
+    the exponents (``_meets_next_degree``).  Every other node has r = 0.
+    With ``top``, no intersection past that position is built.
     """
     made: set[tuple[int, ...]] = set()
     stack = [(0, sorted((g.exps for g in I.gens), key=_tree_key))]
@@ -369,42 +371,21 @@ def _mayer_vietoris_tree(
             made.add(m)
             if len(made) > budget:
                 raise ResourceLimitExceeded(f"Mayer-Vietoris tree exceeds budget of {budget} multidegrees")
-        yield s, m
-        if not gens:
-            continue
-        if top is None or s < top:
-            if strand is None or sum(m) != s + strand or not _meets_next_degree(gens, m):
-                stack.append((s + 1, _intersection(gens, m)))
-        stack.append((s, gens))
-
-
-def _certificate_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable | None:
-    """The Betti table of a single-degree I read off its decreasing-revlex
-    linear-quotients certificate, or None when I is of mixed degree or
-    that order gives no linear quotients.  The generators are nodes of
-    the tree, so they count against ``budget`` before any step."""
-    _require_proper(I, "Betti numbers")
-    if not is_single_degree(I):
-        return None
-    _validate_char(char)
-    if len(I.gens) > budget:
-        raise ResourceLimitExceeded(f"{len(I.gens)} generators exceed the budget of {budget} tree nodes")
-    cert = revlex_lq(I)
-    if cert is None:
-        return None
-    d, sizes = I.gens[0].degree, Counter(map(len, cert.steps))
-    return BettiTable({
-        (i, i + d): sum(count * math.comb(r, i) for r, count in sizes.items())
-        for i in range(max(sizes) + 1)
-    })
+        below = bool(gens) and (top is None or s < top)
+        on_strand = below and strand is not None and sum(m) == s + strand
+        r = _meets_next_degree(gens, m) if on_strand else 0
+        yield s, m, r
+        if below and not r:
+            stack.append((s + 1, _intersection(gens, m)))
+        if gens:
+            stack.append((s, gens))
 
 
 def _tree_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable:
     """The Betti table of I from its Mayer-Vietoris tree: node counts at
     each b whose nodes lie in no two adjacent positions, K^b elsewhere."""
-    _validate_char(char)
     nodes: dict[tuple[int, ...], Counter] = {}
-    for s, b in _mayer_vietoris_tree(I, budget):
+    for s, b, _ in _mayer_vietoris_tree(I, budget):
         nodes.setdefault(b, Counter())[s] += 1
     entries: Counter = Counter()
     for b, at in nodes.items():
@@ -417,13 +398,29 @@ def _tree_betti(I: MonomialIdeal, char: int, budget: int) -> BettiTable:
 
 
 def betti_table(
-    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
+    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_NODE_BUDGET
 ) -> BettiTable:
-    """The exact Betti table of I over a field of the given characteristic:
-    off a linear-quotients certificate when decreasing revlex gives one,
-    else from the Mayer-Vietoris tree."""
-    table = _certificate_betti(I, char, budget)
-    return _tree_betti(I, char, budget) if table is None else table
+    """The exact Betti table of I over a field of the given characteristic.
+
+    A single-degree I is first walked with its on-strand Koszul subtrees
+    skipped.  A node (s, m) with r > 0 and the subtree skipped under it
+    are the Koszul complex on r variables shifted by m, so together they
+    add C(r, k) at position s + k.  While every node is on the strand no
+    node can cancel another, so a walk that stays there gives the table
+    over every field.  At the first off-strand node the walk stops, and
+    the whole tree decides, as it does for every mixed-degree ideal."""
+    _require_proper(I, "Betti numbers")
+    _validate_char(char)
+    if is_single_degree(I):
+        d, entries = I.gens[0].degree, Counter()
+        for s, b, r in _mayer_vietoris_tree(I, budget, strand=d):
+            if sum(b) != s + d:
+                break
+            for k in range(r + 1):
+                entries[s + k, s + k + d] += math.comb(r, k)
+        else:
+            return BettiTable(dict(entries))
+    return _tree_betti(I, char, budget)
 
 
 def _linear_strand(I: MonomialIdeal, char: int, budget: int, top: int | None = None) -> bool:
@@ -433,9 +430,8 @@ def _linear_strand(I: MonomialIdeal, char: int, budget: int, top: int | None = N
     exponents with no intersection built, and computes the homology of
     K^b once at each multidegree b of an off-strand node, stopping at the
     first off the strand."""
-    _validate_char(char)
     d, checked = I.gens[0].degree, set()
-    for s, b in _mayer_vietoris_tree(I, budget, strand=d, top=top):
+    for s, b, _ in _mayer_vietoris_tree(I, budget, strand=d, top=top):
         if sum(b) != s + d and b not in checked:
             checked.add(b)
             homology = upper_koszul_complex(I, b).reduced_homology_ranks(char)
@@ -445,35 +441,33 @@ def _linear_strand(I: MonomialIdeal, char: int, budget: int, top: int | None = N
 
 
 def has_linear_resolution(
-    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
+    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """Single degree d and beta_{i,j} = 0 whenever j != i + d."""
     _require_proper(I, "Betti numbers")
+    _validate_char(char)
     return is_single_degree(I) and _linear_strand(I, char, budget)
 
 
 def has_linear_relations(
-    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
+    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """beta_{1,j} = 0 for j != d + 1, on the tree walked to position 1."""
     _require_proper(I, "Betti numbers")
+    _validate_char(char)
     if not is_single_degree(I):
         raise ValueError("linear relations are defined for equigenerated ideals")
     return _linear_strand(I, char, budget, top=1)
 
 
 def is_componentwise_linear(
-    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_LATTICE_BUDGET
+    I: MonomialIdeal, char: int = 0, budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """Every graded component has a linear resolution.
 
     Only the generator degrees are tested: at any other degree j,
     I_<j> = I_<j-1> * m, the truncation one degree up of an ideal that
-    already has a linear resolution, which keeps it linear.  A component
-    with a linear-quotients certificate needs no homology.
+    already has a linear resolution, which keeps it linear.
     """
     _require_proper(I, "Betti numbers")
-    return all(
-        _certificate_betti(J, char, budget) is not None or has_linear_resolution(J, char, budget)
-        for J in (component(I, j) for j in I.degrees())
-    )
+    return all(has_linear_resolution(component(I, j), char, budget) for j in I.degrees())

@@ -5,8 +5,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -180,17 +183,21 @@ class TestPredicates:
         assert time.perf_counter() - t0 < 2.0
         assert code == 1 and data["result"] is False and data["failing_degree"] == 60
 
-    def test_linear_checks_read_certificates(self, capsys, monkeypatch):
-        # m^2 has linear quotients in decreasing revlex: no tree walk
-        def no_tree(*args, **kwargs):
-            raise AssertionError("Mayer-Vietoris tree on a certified ideal")
+    def test_linear_checks_on_m2_build_no_intersection(self, capsys, monkeypatch):
+        # m^2 has linear quotients in decreasing revlex: every node of the
+        # strand walk is skipped on exponents, so no intersection and no
+        # K^b is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("intersection or K^b built for m^2")
 
         m2 = "x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2"
         with monkeypatch.context() as patched:
-            patched.setattr(resolution, "_mayer_vietoris_tree", no_tree)
+            patched.setattr(resolution, "_intersection", forbidden)
+            patched.setattr(resolution, "upper_koszul_complex", forbidden)
             for prop in ("linear-resolution", "linear-relations", "cw-linear"):
                 assert run(["check", prop, "-n", "3", m2]) == 0, prop
-        # without a certificate the tree decides: linear relations only
+            assert run(["betti", "-n", "3", m2]) == 0
+        # off the strand the tree decides: linear relations only
         cubics = "x1^3, x1^2*x2, x1^2*x3, x2^3, x1*x2^2, x2^2*x3, x3^3, x1*x3^2, x2*x3^2"
         assert run(["check", "linear-relations", "-n", "3", cubics]) == 0
         assert run(["check", "linear-resolution", "-n", "3", cubics]) == 1
@@ -364,12 +371,14 @@ class TestErrors:
             assert run(argv + ["--budget", "0"]) == 3, argv
             assert "budget" in capsys.readouterr().err
 
-    def test_certificate_path_counts_generators_against_the_budget(self, capsys):
+    def test_strand_walk_counts_generators_against_the_budget(self, capsys):
         # m^2 in four variables: 10 generators, 76 lattice points; its
-        # certificate reads the table after charging only the generators
+        # strand walk visits only the spine, one node per generator
         m2 = "x1^2, x1*x2, x1*x3, x1*x4, x2^2, x2*x3, x2*x4, x3^2, x3*x4, x4^2"
-        for argv in (["betti", "-n", "4", m2], ["check", "linear-resolution", "-n", "4", m2]):
-            assert run(argv + ["--budget", "20"]) == 0, argv
+        checks = ("linear-resolution", "linear-relations", "cw-linear")
+        for leaf in (["betti"], *(["check", prop] for prop in checks)):
+            argv = [*leaf, "-n", "4", m2]
+            assert run(argv + ["--budget", "10"]) == 0, argv
             assert run(argv + ["--budget", "9"]) == 3, argv
             assert "budget" in capsys.readouterr().err
 
@@ -528,6 +537,20 @@ class TestErrors:
             assert run(["betti", "--char", char, "-n", "2", "x1, x2"]) == 2
             assert "characteristic" in capsys.readouterr().err
 
+    def test_bad_characteristic_is_rejected_before_the_degree_test(self, capsys):
+        # a mixed-degree ideal has no linear resolution, but --char 4 is
+        # a usage error on every leaf that reads it
+        operands = {"scan": ["--nvars", "2", "--maxdeg", "2", "--maxgens", "2"], "suite": []}
+        leaves = [
+            leaf for leaf, parser in parser_leaves(cli._build_parser())
+            if any("--char" in action.option_strings for action in parser._actions)
+        ]
+        assert len(leaves) == 7
+        for leaf in leaves:
+            argv = [*leaf.split(), "--char", "4", *operands.get(leaf, ["-n", "2", "x1, x2^2"])]
+            assert run(argv) == 2, argv
+            assert "characteristic must be 0 or a prime" in capsys.readouterr().err, argv
+
     def test_zero_ideal_predicate_exit_2(self, capsys):
         assert run(["check", "polymatroidal", "-n", "3", ""]) == 2
 
@@ -544,6 +567,16 @@ def test_readme_cli_examples_run(capsys):
     for line in lines:
         assert run(shlex.split(line, comments=True)[1:]) in (0, 1), line
         capsys.readouterr()
+
+
+def test_main_exits_with_the_code_of_run():
+    """``python -m polymat.cli`` passes ``run``'s exit code to the shell."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "polymat.cli", "check", "linear-resolution", "-n", "2", "x1, x2^2"]
+    for extra, code in (([], 1), (["--char", "4"], 2)):
+        proc = subprocess.run(argv + extra, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, (extra, proc.stderr)
 
 
 QUERY_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "query_reference.json"

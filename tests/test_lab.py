@@ -4,11 +4,15 @@ equivalences, the conjecture scan, spaces, and the example suite."""
 import gc
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polymat import lab, resolution
+from polymat import lab, quotients, resolution
 from polymat.ideal import (
     Monomial,
     MonomialIdeal,
@@ -16,6 +20,7 @@ from polymat.ideal import (
     UnitIdealError,
     colon,
     colons,
+    component,
     is_single_degree,
     localize,
     parse_ideal,
@@ -33,7 +38,13 @@ from polymat.lab import (
 )
 from polymat.polymatroid import VeroneseParams, is_matroidal, is_polymatroidal, veronese
 from polymat.quotients import revlex_lq
-from polymat.resolution import has_linear_resolution
+from polymat.resolution import (
+    betti_table,
+    has_linear_resolution,
+    is_componentwise_linear,
+    lcm_lattice,
+    upper_koszul_complex,
+)
 
 from oracles import lcm_divisors, localization_profile_by_walk, taylor_betti
 
@@ -223,7 +234,8 @@ class TestVerifyEquivalencesColonsOnce:
 
 class TestIndependentOfCertificateBetti:
     """Condition d and the scan's forward check decide linear resolutions
-    on the Mayer-Vietoris tree alone, never off a linear-quotients certificate."""
+    on the Mayer-Vietoris tree alone, never off a linear-quotients
+    certificate: ``resolution`` does not import ``quotients``."""
 
     IDEALS = (
         ("x1*x2, x1*x3, x2*x3", 3),
@@ -233,33 +245,51 @@ class TestIndependentOfCertificateBetti:
         ("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6),
     )
 
+    def test_resolution_does_not_import_quotients(self):
+        src = Path(resolution.__file__).resolve().parents[1]
+        check = "import polymat.resolution, sys; assert 'polymat.quotients' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)
+
     def test_reports_unchanged_when_the_shortcut_raises(self, monkeypatch):
+        # every homological verdict on the colons, and the whole scan,
+        # with each linear-quotients routine raising
         space = IdealSpace(nvars=3, maxdeg=2, maxgens=3)
 
         def reports():
-            records = [verify_equivalences(I(text, n), char).to_json() for text, n in self.IDEALS for char in (0, 2)]
-            return json.dumps([records, scan_conjecture(space).stable_json()], sort_keys=True)
+            verdicts = [
+                (str(J), char, has_linear_resolution(J, char), is_componentwise_linear(J, char),
+                 betti_table(J, char).to_json())
+                for text, n in self.IDEALS for _, J in colons(I(text, n)) for char in (0, 2)
+            ]
+            return json.dumps([verdicts, scan_conjecture(space).stable_json()], sort_keys=True)
 
         expected = reports()
 
         def shortcut(*args, **kwargs):
-            raise AssertionError("certificate shortcut taken")
+            raise AssertionError("linear-quotients routine called")
 
-        monkeypatch.setattr(resolution, "_certificate_betti", shortcut)
-        monkeypatch.setattr(resolution, "revlex_lq", shortcut)
+        routines = ("check_lq_order", "find_lq_order", "revlex_lq", "componentwise_veronese_lq", "_mask_step")
+        for name in routines:
+            monkeypatch.setattr(quotients, name, shortcut)
+            if hasattr(lab, name):
+                monkeypatch.setattr(lab, name, shortcut)
         assert reports() == expected
 
-    def test_suite_gap_item_agrees_with_the_lattice(self, monkeypatch):
+    def test_suite_gap_item_agrees_with_the_lattice(self):
         # the nonpure-exchange gap ideal's colons are componentwise linear
-        # off certificates and on the Mayer-Vietoris tree alike
-        def gap_item():
-            (item,) = [it for it in example_suite(0).items if it["name"] == "nonpure-exchange-gap"]
-            return item
+        # on the tree as by K^b homology at every lcm-lattice point
+        def lattice_linear(J):
+            d = J.gens[0].degree
+            return all(
+                sum(b) == dim + 1 + d
+                for b in lcm_lattice(J) for dim in upper_koszul_complex(J, b).reduced_homology_ranks(0)
+            )
 
-        expected = gap_item()
-        assert expected["passed"] and expected["details"]["colons_componentwise_linear"]
-        monkeypatch.setattr(resolution, "_certificate_betti", lambda *args: None)
-        assert gap_item() == expected
+        ideal = I("x1*x2, x1*x3^2, x2*x3^2", 3)
+        linear = all(lattice_linear(component(J, d)) for _, J in colons(ideal) for d in J.degrees())
+        (item,) = [it for it in example_suite(0).items if it["name"] == "nonpure-exchange-gap"]
+        assert linear and item["passed"] and item["details"]["colons_componentwise_linear"]
 
 
 class TestVerifySquarefree:

@@ -287,9 +287,10 @@ class TestBettiTable:
         # a rank one too high makes some c_k - r_k - r_{k+1} negative; the
         # alternating sums of faces and homology would still agree.  Every
         # rank the path computes is off by one, in every characteristic.
-        # The 5-cycle is not linear, so no certificate bypasses the ranks
+        # The 5-cycle is not linear, so its strand walk falls back to the
+        # whole tree and its ranks
         pentagon = I("x1*x2, x2*x3, x3*x4, x4*x5, x5*x1", 5)
-        assert resolution._certificate_betti(pentagon, 0, 50) is None
+        assert not has_linear_resolution(pentagon)
         exact = resolution.matrix_rank
         calls = Counter()
 
@@ -507,8 +508,9 @@ class TestProjectivePlane:
         monkeypatch.setattr(
             resolution, "matrix_rank", lambda rows, char: calls.update([char]) or exact(rows, char)
         )
-        # m^3 has a certificate, so its tree path is called directly: the
-        # tree is the mapping cone of its linear quotients and reads no K^b.
+        # m^3 is read off its strand walk, so its whole tree is called
+        # directly: the tree is the mapping cone of its linear quotients
+        # and reads no K^b.
         # The critical faces of each K^b over its lcm lattice lie in one
         # dimension, so no boundary map is ranked there either
         m3 = power(maximal_ideal(5), 3)
@@ -580,45 +582,61 @@ def query_base_ideals(monkeypatch):
     ]
 
 
+def strand_table(ideal, char=0, budget=50_000):
+    """``betti_table(ideal, char, budget)`` and whether it was read off the
+    strand walk alone, without falling back to the whole tree."""
+    fallbacks = []
+    tree = resolution._tree_betti
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(resolution, "_tree_betti", lambda *args: fallbacks.append(args) or tree(*args))
+        table = betti_table(ideal, char, budget)
+    return table, not fallbacks
+
+
 class TestCertificateBetti:
-    """Tables read off a decreasing-revlex linear-quotients certificate
-    (Herzog-Takayama) against the Mayer-Vietoris tree and the Taylor oracle."""
+    """The tables of ideals with a decreasing-revlex linear-quotients
+    certificate (Herzog-Takayama) are read off the tree's skipping walk:
+    against the certificate, the whole tree and the Taylor oracle."""
 
     def test_equals_tree_on_exhaustive_space(self):
-        certified = 0
+        # the walk reads the strand exactly where revlex_lq certifies
+        read = 0
         for ideal in exhaustive_space_ideals(3, 3, 4):
-            if not is_single_degree(ideal):
-                assert resolution._certificate_betti(ideal, 0, 50_000) is None
-                continue
             for char in (0, 2, 3):
-                table = resolution._certificate_betti(ideal, char, 50_000)
-                if table is not None:
-                    assert table == resolution._tree_betti(ideal, char, 50_000), (str(ideal), char)
-                    certified += char == 0
-        assert certified == 152
+                table, on_strand = strand_table(ideal, char)
+                certified = is_single_degree(ideal) and quotients.revlex_lq(ideal) is not None
+                assert on_strand == certified, (str(ideal), char)
+                assert table == resolution._tree_betti(ideal, char, 50_000), (str(ideal), char)
+                read += on_strand and char == 0
+        assert read == 152
 
     def test_equals_tree_on_query_ideals(self, monkeypatch):
         ideals = query_base_ideals(monkeypatch)
         assert len(ideals) == 16
         for ideal in ideals:
             for char in (0, 2, 3):
-                table = resolution._certificate_betti(ideal, char, 50_000)
-                assert table is not None, str(ideal)
+                table, on_strand = strand_table(ideal, char)
+                assert on_strand, str(ideal)
                 assert table == resolution._tree_betti(ideal, char, 50_000), (str(ideal), char)
-                assert betti_table(ideal, char) == table
 
     def test_budget_counts_generators(self):
+        # the walk of an ideal with linear quotients visits only the spine
         m2 = power(maximal_ideal(4), 2)
         assert len(m2.gens) == 10 and len(lcm_lattice(m2)) == 76
-        assert betti_table(m2, budget=10).entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}
+        table, on_strand = strand_table(m2, budget=10)
+        assert on_strand and table.entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}
         with pytest.raises(ResourceLimitExceeded):
             betti_table(m2, budget=9)
-        # a mixed-degree ideal is never read off a certificate
-        assert resolution._certificate_betti(I("x1, x2^2", 2), 0, 0) is None
+
+    def test_mixed_degree_takes_the_whole_tree(self):
+        ideal = I("x1, x2^2", 2)
+        table, on_strand = strand_table(ideal)
+        assert not on_strand and table.entries == taylor_betti(ideal)
 
     def test_char_still_validated(self):
-        with pytest.raises(ValueError):
-            betti_table(I("x1, x2", 2), 4)
+        for text in ("x1, x2", "x1, x2^2"):
+            with pytest.raises(ValueError):
+                betti_table(I(text, 2), 4)
 
 
 class TestMayerVietorisTree:
@@ -660,7 +678,7 @@ class TestMayerVietorisTree:
         # 11 nodes at 8 multidegrees: each multidegree is charged once
         ideal = I("x3^2, x2^2*x3, x1*x2*x3, x1*x2^2", 3)
         nodes = list(resolution._mayer_vietoris_tree(ideal, 8))
-        assert len(nodes) == 11 and len({b for _, b in nodes}) == 8
+        assert len(nodes) == 11 and len({b for _, b, _ in nodes}) == 8
         with pytest.raises(ResourceLimitExceeded):
             list(resolution._mayer_vietoris_tree(ideal, 7))
 
@@ -692,13 +710,14 @@ class TestMayerVietorisTree:
     def test_tree_only_sorts_generators(self, monkeypatch):
         # condition d stays independent of condition c and of the lattice;
         # the on-strand skip reads exponents, not the generator-mask index
-        assert not hasattr(resolution, "_masks") and not hasattr(resolution, "_mask_step")
+        for name in ("_masks", "_mask_step", "revlex_lq", "quotients"):
+            assert not hasattr(resolution, name), name
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the tree called a linear-quotients, mask or lattice routine")
 
         for module, name in (
-            (resolution, "revlex_lq"), (resolution, "lcm_lattice"),
+            (resolution, "lcm_lattice"),
             (quotients, "revlex_lq"), (quotients, "check_lq_order"), (quotients, "_mask_step"),
         ):
             monkeypatch.setattr(module, name, forbidden)
@@ -707,13 +726,15 @@ class TestMayerVietorisTree:
         ):
             ideal = I(text, n)
             assert resolution._tree_betti(ideal, 0, 50_000).entries == taylor_betti(ideal)
+            assert betti_table(ideal).entries == taylor_betti(ideal)
             assert has_linear_resolution(ideal) == linear
             assert has_linear_relations(ideal) == linear
 
 
 def reference_tree(ideal, budget, strand=None, top=None):
     """The tree walk that builds every intersection it may enter and then
-    reads the on-strand skip off its last generator's degree."""
+    reads the on-strand skip off its last generator's degree; a skipped
+    node reports the number of its intersection's generators."""
     made = set()
     stack = [(0, sorted((g.exps for g in ideal.gens), key=resolution._tree_key))]
     while stack:
@@ -723,15 +744,17 @@ def reference_tree(ideal, budget, strand=None, top=None):
             made.add(m)
             if len(made) > budget:
                 raise ResourceLimitExceeded(f"reference tree exceeds budget of {budget} multidegrees")
-        yield s, m
-        if not gens:
-            continue
-        if top is None or s < top:
+        r, meet = 0, None
+        if gens and (top is None or s < top):
             meet = resolution._intersection(gens, m)
             deg = sum(m)
-            if strand is None or deg != s + strand or sum(meet[-1]) != deg + 1:
-                stack.append((s + 1, meet))
-        stack.append((s, gens))
+            if strand is not None and deg == s + strand and sum(meet[-1]) == deg + 1:
+                r, meet = len(meet), None
+        yield s, m, r
+        if meet is not None:
+            stack.append((s + 1, meet))
+        if gens:
+            stack.append((s, gens))
 
 
 class TestOnStrandSkip:
@@ -748,7 +771,7 @@ class TestOnStrandSkip:
                 nodes = list(resolution._mayer_vietoris_tree(ideal, 50_000, strand=d, top=top))
                 assert nodes == expected, (str(ideal), top)
                 # the same multidegrees are charged, so the same budget is the first to fail
-                budget = len({b for _, b in expected})
+                budget = len({b for _, b, _ in expected})
                 with pytest.raises(ResourceLimitExceeded):
                     list(resolution._mayer_vietoris_tree(ideal, budget - 1, strand=d, top=top))
                 if top is None:
@@ -758,12 +781,14 @@ class TestOnStrandSkip:
 
 def check_skip_at_every_split(gens):
     """At each split (gens[:k], gens[k]) of a ``_tree_key``-sorted
-    antichain and inside each intersection, the exponent test equals the
-    degree of the intersection's last generator."""
+    antichain and inside each intersection, the exponent test gives the
+    number of the intersection's generators when its last one has degree
+    deg m + 1, and 0 otherwise."""
     for k in range(1, len(gens)):
         rest, m = gens[:k], gens[k]
         meet = resolution._intersection(rest, m)
-        assert resolution._meets_next_degree(rest, m) == (sum(meet[-1]) == sum(m) + 1), (rest, m, meet)
+        expected = len(meet) if sum(meet[-1]) == sum(m) + 1 else 0
+        assert resolution._meets_next_degree(rest, m) == expected, (rest, m, meet)
         check_skip_at_every_split(meet)
 
 
@@ -826,8 +851,8 @@ def test_lcm_lattice_is_every_subset_join(gens):
 
 @st.composite
 def single_degree_ideals(draw):
-    """(ideal, whether it must have a certificate): a Veronese-type ideal,
-    which is polymatroidal, or a random set of monomials of one degree."""
+    """(ideal, whether it is polymatroidal by construction): a Veronese-type
+    ideal, or a random set of monomials of one degree."""
     d = draw(st.integers(1, 3))
     if draw(st.booleans()):
         n = draw(st.integers(2, 3))
@@ -840,11 +865,10 @@ def single_degree_ideals(draw):
 @settings(max_examples=40, deadline=None)
 @given(single_degree_ideals(), st.sampled_from((0, 2, 3)))
 def test_certificate_betti_matches_taylor_property(drawn, char):
-    ideal, must_certify = drawn
-    table = resolution._certificate_betti(ideal, char, 50_000)
-    assert table is not None or not must_certify, str(ideal)
-    if table is not None:
-        assert table.entries == taylor_betti(ideal, char), (str(ideal), char)
+    ideal, polymatroidal = drawn
+    table, on_strand = strand_table(ideal, char)
+    assert on_strand or not polymatroidal, str(ideal)
+    assert table.entries == taylor_betti(ideal, char), (str(ideal), char)
 
 
 @settings(max_examples=40, deadline=None)
