@@ -7,13 +7,15 @@ structural equality coincides with equality of ideals.  All values are
 immutable after construction and every operation is a pure function.
 
 Variable indices in the public API are 1-based (x1..xn), matching the
-text grammar ``x1*x3^2, x2^2``.
+text grammar ``x1*x3^2, x2^2``.  Colon, saturation and localization all
+fold one step, ``_colon_step``, over the variables.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
@@ -249,74 +251,54 @@ class MonomialIdeal:
 # parsing / serialization
 # ---------------------------------------------------------------------------
 
+_TERM = re.compile(r"x(\d*)(?:\s*\^\s*(\d*))?\s*")
+_SPACE = re.compile(r"\s*")
+
+
 def parse_generators(text: str, nvars: int) -> list[Monomial]:
     """Parse ideal text into monomials, preserving the written order.
 
     Grammar: ideal := gen (',' gen)* ; gen := '1' | term ('*' term)* ;
-    term := 'x' INT ('^' INT)?.  Whitespace is insignificant; the empty
-    string denotes no generators (the zero ideal).
+    term := 'x' INT ('^' INT)?, INT a run of decimal digits (as
+    ``str.isdecimal``).  Whitespace may appear anywhere except between an
+    'x' and its index; the empty string is the zero ideal.  Each error
+    names the first offending position.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise IdealSyntaxError("expected an integer", start)
-        return int(text[start:pos])
-
-    def parse_gen() -> Monomial:
-        nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] == "1":
-            pos += 1
-            return Monomial((0,) * nvars)
-        exps = [0] * nvars
-        while True:
-            skip_ws()
-            if pos >= n or text[pos] != "x":
-                raise IdealSyntaxError("expected a term 'x<index>'", pos)
-            pos += 1
-            at = pos
-            idx = read_int()
-            if not 1 <= idx <= nvars:
-                raise IdealSyntaxError(f"variable index {idx} out of range 1..{nvars}", at)
-            exp = 1
-            skip_ws()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                at = pos
-                exp = read_int()
-                if exp < 1:
-                    raise IdealSyntaxError("exponent must be positive", at)
-            exps[idx - 1] += exp
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                continue
-            return Monomial(exps)
-
-    skip_ws()
-    if pos == n:
-        return []
-    gens = [parse_gen()]
+    gens: list[Monomial] = []
+    pos = _SPACE.match(text).end()
+    if pos == len(text):
+        return gens
     while True:
-        skip_ws()
-        if pos == n:
+        exps = [0] * nvars
+        if text.startswith("1", pos):
+            pos = _SPACE.match(text, pos + 1).end()
+        else:
+            while True:
+                term = _TERM.match(text, pos)
+                if term is None:
+                    raise IdealSyntaxError("expected a term 'x<index>'", pos)
+                index, exp = term.group(1, 2)
+                if not index:
+                    raise IdealSyntaxError("expected an integer", term.start(1))
+                i = int(index)
+                if not 1 <= i <= nvars:
+                    raise IdealSyntaxError(f"variable index {i} out of range 1..{nvars}", term.start(1))
+                if exp == "":
+                    raise IdealSyntaxError("expected an integer", term.start(2))
+                e = 1 if exp is None else int(exp)
+                if e < 1:
+                    raise IdealSyntaxError("exponent must be positive", term.start(2))
+                exps[i - 1] += e
+                pos = term.end()
+                if not text.startswith("*", pos):
+                    break
+                pos = _SPACE.match(text, pos + 1).end()
+        gens.append(Monomial._raw(tuple(exps), sum(exps)))
+        if pos == len(text):
             return gens
         if text[pos] != ",":
             raise IdealSyntaxError("expected ',' between generators", pos)
-        pos += 1
-        gens.append(parse_gen())
+        pos = _SPACE.match(text, pos + 1).end()
 
 
 def parse_monomial(text: str, nvars: int) -> Monomial:
@@ -338,8 +320,9 @@ def parse_ideal(text: str, nvars: int) -> MonomialIdeal:
 _canonical = attrgetter("degree", "exps")
 
 
-def _colon_step(gens: tuple[Monomial, ...], i: int, k: int) -> tuple[Monomial, ...]:
-    """G(I : x_(i+1)^k) from G(I) = gens, for k >= 1, in canonical order.
+def _colon_step(gens: tuple[Monomial, ...], i: int, k: float) -> tuple[Monomial, ...]:
+    """G(I : x_(i+1)^k) from G(I) = gens, for k >= 1, in canonical order;
+    k = math.inf (no int bounds an exponent) gives I : x_(i+1)^infinity.
 
     Every generator g with x_(i+1) loses min(g_i, k) factors of it.  Those
     keeping some x_(i+1) (g_i > k) stay minimal, since g' | h' would give
@@ -393,28 +376,24 @@ def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
 
 
 def saturate(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The saturation I : u^infinity, as the one colon I : u^k with k the
-    largest ceil(L_i / u_i) over supp u, L the exponents of lcm(G(I)).
-    Then k * u_i >= L_i on supp u, and a colon by more of x_i than L_i
-    equals the colon by x_i^(L_i), so I : u^j is the same for all j >= k."""
-    top = I.lcm_gens()
-    k = max((-(-L // e) for L, e in zip(top.exps, u.exps) if e), default=0) if top else 0
-    return colon(I, Monomial._raw(tuple(k * e for e in u.exps), k * u.degree))
+    """The saturation I : u^infinity.  It depends on supp u alone: it is
+    the localization at the variables of u."""
+    if u.nvars != I.nvars:
+        raise ValueError("nvars mismatch between ideal and monomial")
+    return localize(I, u.support)
 
 
 def localize(I: MonomialIdeal, C: Iterable[int]) -> MonomialIdeal:
     """Monomial localization: substitute x_i -> 1 for every i in C.
 
-    Equals the saturation of I at the product of the variables in C.
-    The number of variables is preserved; the variables in C simply no
-    longer occur.
+    This is the saturation of I at the product of the variables in C,
+    folded as one colon step I : x_i^infinity per variable.  The number
+    of variables is preserved; the variables in C simply no longer occur.
     """
-    zeroed = frozenset(i - 1 for i in _variable_indices(C, I.nvars))
-    gens = (
-        Monomial(0 if i in zeroed else e for i, e in enumerate(g.exps))
-        for g in I.gens
-    )
-    return MonomialIdeal._raw(I.nvars, _minimal_sorted(gens))
+    gens = I.gens
+    for i in _variable_indices(C, I.nvars):
+        gens = _colon_step(gens, i - 1, math.inf)
+    return MonomialIdeal._raw(I.nvars, gens)
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

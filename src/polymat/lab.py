@@ -176,11 +176,10 @@ class LabReport:
     config: dict
     items: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    version: str = REPORT_VERSION
 
     def to_json(self) -> dict:
         return {
-            "version": self.version,
+            "version": REPORT_VERSION,
             "config": self.config,
             "items": self.items,
             "summary": self.summary,

@@ -55,6 +55,14 @@ def M(text, n):
     return parse_monomial(text, n)
 
 
+def substituted(ideal, C):
+    """The localization by its definition: x_i -> 1 for i in C, then
+    minimalized by the validating constructor."""
+    return MonomialIdeal(ideal.nvars, (
+        Monomial(0 if i + 1 in C else e for i, e in enumerate(g.exps)) for g in ideal.gens
+    ))
+
+
 # ---------------------------------------------------------------------------
 # parsing and canonical form
 # ---------------------------------------------------------------------------
@@ -85,6 +93,38 @@ class TestParsing:
         with pytest.raises(IdealSyntaxError) as err:
             parse_ideal("x1*y2", 3)
         assert err.value.position == 3
+
+    @pytest.mark.parametrize("text, nvars, message, position", [
+        ("x 1", 2, "expected an integer", 1),
+        ("x^2", 2, "expected an integer", 1),
+        ("x1^", 2, "expected an integer", 3),
+        ("x2^  x2", 2, "expected an integer", 5),
+        ("x1 ^ 0", 2, "exponent must be positive", 5),
+        ("x0", 2, "variable index 0 out of range 1..2", 1),
+        ("x1*x3^0", 2, "variable index 3 out of range 1..2", 4),
+        ("x3^", 2, "variable index 3 out of range 1..2", 1),
+        ("1*x1", 2, "expected ',' between generators", 1),
+        ("12", 2, "expected ',' between generators", 1),
+        ("x1 x2", 2, "expected ',' between generators", 3),
+        ("x1,", 2, "expected a term 'x<index>'", 3),
+        ("x1**x2", 2, "expected a term 'x<index>'", 3),
+        # digits that are not decimal ones: int() used to reject them
+        ("x1\u00b2", 2, "expected ',' between generators", 2),
+        ("x\u00b2", 2, "expected an integer", 1),
+    ])
+    def test_syntax_error_messages(self, text, nvars, message, position):
+        with pytest.raises(IdealSyntaxError) as err:
+            parse_generators(text, nvars)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x01", "x1"),
+        ("x\u0661", "x1"),  # ARABIC-INDIC DIGIT ONE is a decimal digit
+        ("x1\u00a0*\u2003x2 ^\u00a02", "x1*x2^2"),  # NO-BREAK SPACE, EM SPACE
+    ])
+    def test_unicode_digits_and_spaces_accepted(self, text, expected):
+        assert parse_generators(text, 2) == [M(expected, 2)]
 
     def test_variable_out_of_range(self):
         with pytest.raises(IdealSyntaxError):
@@ -183,6 +223,10 @@ class TestSaturate:
         ideal = I("x1^2, x2", 2)
         assert saturate(ideal, M("1", 2)) == ideal
 
+    def test_saturate_checks_nvars(self):
+        with pytest.raises(ValueError, match="nvars mismatch"):
+            saturate(I("x1^2, x2", 2), M("x1", 3))
+
     def test_saturation_drops_variable(self):
         ideal = I("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6)
         assert saturate(ideal, M("x4", 6)) == I("x2*x3, x3*x5*x6", 6)
@@ -218,14 +262,19 @@ class TestLocalize:
         assert loc == I("x1*x2^3, x2^4, x1^2*x2, x1^3", 3)
 
     def test_localize_equals_saturation(self):
+        # both against the substitution x_i -> 1 itself; one exponent is
+        # far past any machine-word sentinel
         for text, n, C in [
             ("x1^2*x2, x2*x3^2, x1*x3", 3, [2]),
             ("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6, [3, 4]),
             ("x1^3, x2^2", 2, [1]),
+            (f"x1^{10**20}*x2, x2^3*x3, x1*x3^2", 3, [1]),
+            (f"x1^{10**20}*x2, x2^3*x3, x1*x3^2", 3, [2, 3]),
         ]:
             ideal = I(text, n)
             xc = M("*".join(f"x{i}" for i in C), n)
-            assert localize(ideal, C) == saturate(ideal, xc)
+            assert localize(ideal, C) == substituted(ideal, C), (text, C)
+            assert saturate(ideal, xc) == substituted(ideal, C), (text, C)
 
     def test_indices_any_iterable_and_checked(self):
         ideal = I("x1*x2*x3, x2*x3*x4, x3*x5*x6", 6)
@@ -512,7 +561,8 @@ def test_colon_matches_its_definition(case):
 def test_localize_is_saturation_property(ideal):
     for C in ([1], [2, 3]):
         xc = Monomial(tuple(1 if i + 1 in C else 0 for i in range(3)))
-        assert localize(ideal, C) == saturate(ideal, xc)
+        assert localize(ideal, C) == substituted(ideal, C)
+        assert saturate(ideal, xc) == substituted(ideal, C)
 
 
 @settings(max_examples=40, deadline=None)
